@@ -280,15 +280,6 @@
 // ServiceStats.RemoteCache and the /stats endpoint ("clients" holds the
 // router's aggregate over its shard clients).
 //
-// The front result-LRU is escalation-aware when the backend is a
-// federation: a result that had to escalate past the small tiers cost a
-// deep-fleet round trip to produce, so it is retained with as many
-// second-chance lives as the index of the tier that answered it, while
-// cheap tier-0 answers evict in plain LRU order. Per-tier
-// retained/evicted counters surface in ServiceStats and as
-// revserve_cache_{retained,evicted}_total{tier="i"} on /metrics;
-// non-federated backends keep the exact unweighted LRU behaviour.
-//
 // # Operations
 //
 // Both HTTP roles of revserve (front door and -router) wrap their API

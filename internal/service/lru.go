@@ -11,34 +11,44 @@ import (
 
 // lruCache maps recently queried permutations to their synthesis
 // results. Circuits are immutable once synthesized (callers receive the
-// cached slice and must not mutate it — the package API never does), so
-// a hit costs one mutex acquisition and two pointer moves. Deterministic
-// errors (beyond-horizon, invalid function) are cached alongside
-// successes: re-asking an impossible query is as common as re-asking a
-// possible one.
+// cached slice and must not mutate it — the package API never does).
+// Deterministic errors (beyond-horizon, invalid function) are cached
+// alongside successes: re-asking an impossible query is as common as
+// re-asking a possible one.
 //
-// Retention is escalation-aware: each entry carries the index of the
-// backend tier that answered it, and eviction runs second-chance with
-// that index as the entry's life count. An answer the shallowest tier
-// (or a non-tiered backend) produced is evicted on first touch, while
-// one that needed tier i survives i trips to the cold end before it
-// goes — deep-tier answers are exactly the traffic worth keeping,
-// because recomputing them replays the whole escalation chain. With a
-// non-tiered backend every entry has tier 0 and the policy degenerates
-// to plain LRU. Each eviction scans a bounded window at the cold end
-// (evictOne), so when every resident entry still holds lives the policy
-// degrades toward least-lives-within-window rather than rotating the
-// whole list under the lock.
+// The cache is split into a power-of-two number of shards, each a plain
+// LRU under its own mutex on its own cache lines, and keyHash picks a
+// key's shard. Concurrent hits on keys in different shards take
+// different locks: a hit costs one mostly uncontended mutex acquisition
+// and one list move inside its shard. Eviction is exact LRU within a
+// shard and approximate across shards; a cache below
+// 2·lruShardEntries entries has a single shard and keeps exact LRU
+// order.
 type lruCache struct {
+	shards []lruShard
+	shift  uint // keyHash(key) >> shift indexes shards
+}
+
+// lruShardEntries is the capacity a shard aims for: the shard count is
+// the largest power of two, at most lruMaxShards, that leaves every
+// shard at least this many entries — 1 shard below 512 entries, 16 at
+// DefaultCacheSize.
+const (
+	lruShardEntries = 256
+	lruMaxShards    = 16
+)
+
+// cacheLine pads concurrently written structures apart so that two
+// cores updating neighbouring shards or counter stripes do not share a
+// cache line.
+const cacheLine = 64
+
+type lruShard struct {
 	mu  sync.Mutex
 	cap int
 	m   map[perm.Perm]*list.Element
-	l   *list.List // front = most recently used
-	// retained[t]/evicted[t] count second chances granted to and final
-	// evictions of tier-t entries; sized on demand to the deepest tier
-	// seen.
-	retained []uint64
-	evicted  []uint64
+	l   list.List // front = most recently used
+	_   [cacheLine]byte
 }
 
 type lruEntry struct {
@@ -46,126 +56,76 @@ type lruEntry struct {
 	c    circuit.Circuit
 	info core.Info
 	err  error
-	// tier is the answering tier (0 = shallowest or non-tiered); lives
-	// is the remaining second-chance count, refilled to tier on every
-	// hit.
-	tier  int
-	lives int
 }
 
+// keyHash spreads a permutation's bits for shard and counter-stripe
+// selection (Fibonacci hashing: the top bits of the product depend on
+// every nibble of the key).
+func keyHash(key perm.Perm) uint64 { return uint64(key) * 0x9E3779B97F4A7C15 }
+
 func newLRU(capacity int) *lruCache {
-	if capacity < 1 {
-		capacity = 1
+	capacity = max(capacity, 1)
+	n, bits := 1, uint(0)
+	for n < lruMaxShards && 2*n*lruShardEntries <= capacity {
+		n, bits = 2*n, bits+1
 	}
-	return &lruCache{
-		cap: capacity,
-		m:   make(map[perm.Perm]*list.Element, capacity),
-		l:   list.New(),
+	c := &lruCache{shards: make([]lruShard, n), shift: 64 - bits}
+	for i := range c.shards {
+		// Spread the remainder so the shard capacities sum to capacity.
+		sh := &c.shards[i]
+		sh.cap = capacity / n
+		if i < capacity%n {
+			sh.cap++
+		}
+		sh.m = make(map[perm.Perm]*list.Element, sh.cap)
 	}
+	return c
+}
+
+func (c *lruCache) shard(key perm.Perm) *lruShard {
+	return &c.shards[keyHash(key)>>c.shift]
 }
 
 func (c *lruCache) get(key perm.Perm) (circuit.Circuit, core.Info, error, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.m[key]
+	sh := c.shard(key)
+	sh.mu.Lock()
+	el, ok := sh.m[key]
 	if !ok {
+		sh.mu.Unlock()
 		return nil, core.Info{}, nil, false
 	}
-	c.l.MoveToFront(el)
+	sh.l.MoveToFront(el)
 	e := el.Value.(*lruEntry)
-	e.lives = e.tier
+	sh.mu.Unlock()
 	return e.c, e.info, e.err, true
 }
 
-func (c *lruCache) put(key perm.Perm, circ circuit.Circuit, info core.Info, err error, tier int) {
-	if tier < 0 {
-		tier = 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[key]; ok {
-		c.l.MoveToFront(el)
-		*el.Value.(*lruEntry) = lruEntry{key: key, c: circ, info: info, err: err, tier: tier, lives: tier}
+func (c *lruCache) put(key perm.Perm, circ circuit.Circuit, info core.Info, err error) {
+	e := &lruEntry{key: key, c: circ, info: info, err: err}
+	sh := c.shard(key)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if el, ok := sh.m[key]; ok {
+		sh.l.MoveToFront(el)
+		el.Value = e
 		return
 	}
-	for c.l.Len() >= c.cap {
-		c.evictOne()
+	if sh.l.Len() >= sh.cap {
+		old := sh.l.Back()
+		sh.l.Remove(old)
+		delete(sh.m, old.Value.(*lruEntry).key)
 	}
-	c.m[key] = c.l.PushFront(&lruEntry{key: key, c: circ, info: info, err: err, tier: tier, lives: tier})
-}
-
-// evictScanMax bounds the second-chance scan of one eviction, keeping
-// the worst-case work per insert a small constant even when the cache
-// is full of deep-tier entries — an unbounded rotation would hold the
-// mutex for O(cap · maxTier) list moves on the serving hot path.
-const evictScanMax = 8
-
-// evictOne removes exactly one entry: it scans at most evictScanMax
-// entries from the cold end, evicts the first with no lives left — or,
-// if every scanned entry still has lives, the scanned entry with the
-// fewest — and grants the other scanned entries their second chance
-// (spend a life, rotate to the warm end). Caller holds c.mu and
-// guarantees the list is non-empty.
-func (c *lruCache) evictOne() {
-	var scan [evictScanMax]*list.Element
-	n, victim := 0, -1
-	for el := c.l.Back(); el != nil && n < evictScanMax; el = el.Prev() {
-		scan[n] = el
-		e := el.Value.(*lruEntry)
-		if e.lives == 0 {
-			victim = n
-			n++
-			break
-		}
-		if victim < 0 || e.lives < scan[victim].Value.(*lruEntry).lives {
-			victim = n
-		}
-		n++
-	}
-	for i := 0; i < n; i++ {
-		if i == victim {
-			continue
-		}
-		e := scan[i].Value.(*lruEntry)
-		e.lives--
-		c.l.MoveToFront(scan[i])
-		c.tierCounter(&c.retained, e.tier)
-		c.retained[e.tier]++
-	}
-	e := scan[victim].Value.(*lruEntry)
-	c.l.Remove(scan[victim])
-	delete(c.m, e.key)
-	c.tierCounter(&c.evicted, e.tier)
-	c.evicted[e.tier]++
+	sh.m[key] = sh.l.PushFront(e)
 }
 
 // len reports the number of cached entries.
 func (c *lruCache) len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.l.Len()
-}
-
-// tierCounter grows a per-tier counter slice to cover tier.
-func (c *lruCache) tierCounter(s *[]uint64, tier int) {
-	for len(*s) <= tier {
-		*s = append(*s, 0)
+	n := 0
+	for i := range c.shards {
+		sh := &c.shards[i]
+		sh.mu.Lock()
+		n += sh.l.Len()
+		sh.mu.Unlock()
 	}
-}
-
-// retentionStats snapshots the per-tier second-chance and eviction
-// counters (index = answering tier, shallowest first). Both slices have
-// the same length: the deepest tier either counter has touched.
-func (c *lruCache) retentionStats() (retained, evicted []uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := max(len(c.retained), len(c.evicted))
-	if n == 0 {
-		return nil, nil
-	}
-	retained = make([]uint64, n)
-	evicted = make([]uint64, n)
-	copy(retained, c.retained)
-	copy(evicted, c.evicted)
-	return retained, evicted
+	return n
 }

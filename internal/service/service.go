@@ -5,6 +5,15 @@
 // through a bounded worker pool with per-query cancellation, an LRU
 // cache of recent results, and atomic serving counters.
 //
+// A cache hit is the common case when the same small windows are asked
+// again and again, as in peephole optimisation, so its path is kept
+// short: it takes the lock of one result-LRU shard and writes one
+// stripe of the per-query counters and latency histogram, both picked
+// by a hash of the key, so concurrent hits on different keys rarely
+// meet on one lock; Stats sums the stripes. Once startup finished the
+// readiness check is a lock-free non-blocking receive, timing uses
+// monotonic-only clock reads, and a hit allocates nothing.
+//
 // Table acquisition is zero-copy whenever the store allows it: a
 // TablesPath pointing at a tablesio format-v2 store is memory-mapped
 // (header check, no parse, no rehash), so a cold start that used to
@@ -36,7 +45,6 @@ import (
 	"fmt"
 	"os"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -109,7 +117,8 @@ type Config struct {
 	// cache; 0 means DefaultCacheSize, negative disables caching.
 	CacheSize int
 	// DefaultTimeout, when positive, is applied to any query whose
-	// context carries no deadline.
+	// context carries no deadline and that misses the result cache (a
+	// hit never blocks, so it arms no timer).
 	DefaultTimeout time.Duration
 	// Progress is forwarded to the table build (level, new classes) and
 	// to the table load (level, entries loaded).
@@ -147,11 +156,16 @@ type Synthesizer struct {
 
 	cache *lruCache
 
-	queries   atomic.Uint64
+	// stripes holds the counters every query touches, indexed by
+	// keyHash(f) >> stripeShift so that concurrent queries for different
+	// keys write different cache lines; Stats sums them. The pad keeps
+	// the fields above, which every query reads, off stripe 0's lines.
+	_       [cacheLine]byte
+	stripes [numStripes]counterStripe
+
+	// The counters below move only on misses and failures.
 	errors    atomic.Uint64
 	canceled  atomic.Uint64
-	hits      atomic.Uint64
-	misses    atomic.Uint64
 	direct    atomic.Uint64
 	mitm      atomic.Uint64
 	latencyNS atomic.Int64
@@ -159,28 +173,58 @@ type Synthesizer struct {
 	// waiting counts queries blocked on a worker-pool slot — the queue
 	// depth an admission controller wants to watch.
 	waiting atomic.Int64
-	// latBuckets histograms end-to-end query() latency (every query,
-	// cached and failed alike) over LatencyBucketBounds; the extra last
-	// slot is the overflow bucket. latSumNS is the matching sum.
-	latBuckets []atomic.Uint64
+}
+
+const (
+	numStripes  = 16
+	stripeShift = 64 - 4 // log2(numStripes) top bits of keyHash
+)
+
+// counterStripe is one stripe of the per-query counters. latBuckets
+// histograms end-to-end query() latency (every query, cached and failed
+// alike) over latencyBoundsNS; the extra last slot is the overflow
+// bucket. latSumNS is the matching sum.
+type counterStripe struct {
+	queries    atomic.Uint64
+	hits       atomic.Uint64
+	misses     atomic.Uint64
 	latSumNS   atomic.Int64
+	latBuckets [len(latencyBoundsNS) + 1]atomic.Uint64
+	_          [cacheLine]byte
+}
+
+// latencyBoundsNS are the histogram's bucket upper bounds in
+// nanoseconds, so a query picks its bucket with integer compares.
+var latencyBoundsNS = [...]int64{
+	1e3, 2.5e3, 5e3, 1e4, 2.5e4, 5e4, 1e5, 2.5e5, 5e5,
+	1e6, 2.5e6, 5e6, 1e7, 2.5e7, 5e7, 1e8, 2.5e8, 5e8, 1e9, 2.5e9, 5e9, 1e10,
 }
 
 // LatencyBucketBounds are the upper bounds, in seconds, of the query
 // latency histogram Stats reports. Spanning 1µs–10s they resolve both
 // the cached/local path (µs) and remote-fleet tails (ms–s).
-var LatencyBucketBounds = []float64{
-	1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4,
-	1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
+var LatencyBucketBounds = func() []float64 {
+	b := make([]float64, len(latencyBoundsNS))
+	for i, ns := range latencyBoundsNS {
+		b[i] = float64(ns) / 1e9
+	}
+	return b
+}()
+
+// observe records one end-to-end query duration in the histogram. The
+// linear scan ends at the first bucket for cached hits.
+func (st *counterStripe) observe(d time.Duration) {
+	i := 0
+	for i < len(latencyBoundsNS) && int64(d) > latencyBoundsNS[i] {
+		i++
+	}
+	st.latBuckets[i].Add(1)
+	st.latSumNS.Add(int64(d))
 }
 
-// observeLatency records one end-to-end query duration in the histogram.
-func (s *Synthesizer) observeLatency(d time.Duration) {
-	secs := d.Seconds()
-	i := sort.SearchFloat64s(LatencyBucketBounds, secs)
-	s.latBuckets[i].Add(1)
-	s.latSumNS.Add(int64(d))
-}
+// clock reads the monotonic clock only: time.Since of a time carrying a
+// monotonic reading skips the wall-clock read time.Now also pays.
+func (s *Synthesizer) clock() time.Duration { return time.Since(s.start) }
 
 // New builds or loads the tables synchronously and returns a ready
 // service (or the startup error).
@@ -203,13 +247,12 @@ func NewAsync(cfg Config) *Synthesizer {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	s := &Synthesizer{
-		cfg:        cfg,
-		start:      time.Now(),
-		ready:      make(chan struct{}),
-		sem:        make(chan struct{}, workers),
-		done:       make(chan struct{}),
-		drained:    make(chan struct{}),
-		latBuckets: make([]atomic.Uint64, len(LatencyBucketBounds)+1),
+		cfg:     cfg,
+		start:   time.Now(),
+		ready:   make(chan struct{}),
+		sem:     make(chan struct{}, workers),
+		done:    make(chan struct{}),
+		drained: make(chan struct{}),
 	}
 	switch {
 	case cfg.CacheSize < 0:
@@ -403,35 +446,45 @@ func (s *Synthesizer) SynthesizeAll(ctx context.Context, fs []perm.Perm) []Batch
 }
 
 // query is the single entry point every public query funnels through:
-// readiness gate, default timeout, cache probe, worker-pool slot,
-// core query, counters, cache fill.
+// counters and timing around answer.
 func (s *Synthesizer) query(ctx context.Context, f perm.Perm) (circuit.Circuit, core.Info, error) {
-	s.queries.Add(1)
-	qStart := time.Now()
-	defer func() { s.observeLatency(time.Since(qStart)) }()
-	// Reject closed services up front: WaitReady alone would race the
-	// cache probe (ready and done may both be signalled), letting a
-	// cached answer slip out after shutdown.
+	st := &s.stripes[keyHash(f)>>stripeShift]
+	st.queries.Add(1)
+	begin := s.clock()
+	c, info, err := s.answer(ctx, f, st)
+	st.observe(s.clock() - begin)
+	return c, info, err
+}
+
+// answer runs the readiness gate and the cache probe, and computes
+// misses.
+func (s *Synthesizer) answer(ctx context.Context, f perm.Perm, st *counterStripe) (circuit.Circuit, core.Info, error) {
+	// Reject closed services up front: the readiness check alone would
+	// race the cache probe (ready and done may both be signalled),
+	// letting a cached answer slip out after shutdown.
 	select {
 	case <-s.done:
 		s.noteErr(ErrClosed)
 		return nil, core.Info{}, ErrClosed
 	default:
 	}
-	if err := s.WaitReady(ctx); err != nil {
+	// Once startup finished, a non-blocking receive on the closed ready
+	// channel takes no lock; WaitReady's three-way select would lock all
+	// three channels on every query.
+	var err error
+	select {
+	case <-s.ready:
+		err = s.loadErr
+	default:
+		err = s.WaitReady(ctx)
+	}
+	if err != nil {
 		s.noteErr(err)
 		return nil, core.Info{}, err
 	}
-	if s.cfg.DefaultTimeout > 0 {
-		if _, has := ctx.Deadline(); !has {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, s.cfg.DefaultTimeout)
-			defer cancel()
-		}
-	}
 	if s.cache != nil {
 		if c, info, err, ok := s.cache.get(f); ok {
-			s.hits.Add(1)
+			st.hits.Add(1)
 			if err != nil {
 				// Replayed failures are still failed queries; cached
 				// errors are deterministic (never ctx errors), so the
@@ -440,7 +493,20 @@ func (s *Synthesizer) query(ctx context.Context, f perm.Perm) (circuit.Circuit, 
 			}
 			return c, info, err
 		}
-		s.misses.Add(1)
+		st.misses.Add(1)
+	}
+	return s.compute(ctx, f)
+}
+
+// compute answers a cache miss: default timeout, worker-pool slot, core
+// query, counters, cache fill.
+func (s *Synthesizer) compute(ctx context.Context, f perm.Perm) (circuit.Circuit, core.Info, error) {
+	if s.cfg.DefaultTimeout > 0 {
+		if _, has := ctx.Deadline(); !has {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, s.cfg.DefaultTimeout)
+			defer cancel()
+		}
 	}
 	s.waiting.Add(1)
 	err := s.acquire(ctx)
@@ -450,7 +516,7 @@ func (s *Synthesizer) query(ctx context.Context, f perm.Perm) (circuit.Circuit, 
 		return nil, core.Info{}, err
 	}
 	s.inFlight.Add(1)
-	begin := time.Now()
+	begin := s.clock()
 	c, info, err := s.synth.SynthesizeInfoCtx(ctx, f)
 	s.inFlight.Add(-1)
 	s.release()
@@ -458,7 +524,7 @@ func (s *Synthesizer) query(ctx context.Context, f perm.Perm) (circuit.Circuit, 
 		// Only successful queries feed AvgLatency: a 30 s timeout would
 		// otherwise swamp the average the denominator (Direct+MITM)
 		// describes.
-		s.latencyNS.Add(int64(time.Since(begin)))
+		s.latencyNS.Add(int64(s.clock() - begin))
 	}
 	if err != nil {
 		s.noteErr(err)
@@ -470,7 +536,7 @@ func (s *Synthesizer) query(ctx context.Context, f perm.Perm) (circuit.Circuit, 
 		// cache, or a one-second shard blip would keep failing its
 		// specs until LRU eviction long after the fleet recovered.
 		if s.cache != nil && (errors.Is(err, core.ErrBeyondHorizon) || errors.Is(err, core.ErrInvalidFunction)) {
-			s.cache.put(f, nil, info, err, s.cacheTier(info, err))
+			s.cache.put(f, nil, info, err)
 		}
 		return nil, info, err
 	}
@@ -480,29 +546,9 @@ func (s *Synthesizer) query(ctx context.Context, f perm.Perm) (circuit.Circuit, 
 		s.mitm.Add(1)
 	}
 	if s.cache != nil {
-		s.cache.put(f, c, info, nil, s.cacheTier(info, nil))
+		s.cache.put(f, c, info, nil)
 	}
 	return c, info, nil
-}
-
-// cacheTier resolves a finished query's retention weight: the index of
-// the backend tier that answered it, 0 when the backend is not tiered.
-// Direct answers route by their cost. Meet-in-the-middle answers and
-// beyond-horizon verdicts consumed the deepest tier's escalation chain,
-// so they carry its full weight; invalid functions are rejected before
-// any table lookup and stay at weight 0.
-func (s *Synthesizer) cacheTier(info core.Info, err error) int {
-	tr, ok := s.cfg.Backend.(tables.TierResolver)
-	if !ok {
-		return 0
-	}
-	if err != nil && errors.Is(err, core.ErrInvalidFunction) {
-		return 0
-	}
-	if err == nil && info.Direct {
-		return tr.TierForCost(info.Cost)
-	}
-	return tr.TierForCost(1 << 30)
 }
 
 func (s *Synthesizer) noteErr(err error) {
@@ -631,13 +677,6 @@ type Stats struct {
 	CacheMisses uint64 `json:"cache_misses"`
 	Direct      uint64 `json:"direct"`
 	MITM        uint64 `json:"mitm"`
-	// CacheRetainedByTier/CacheEvictedByTier report the escalation-aware
-	// result-cache retention policy per answering tier (index 0 =
-	// shallowest): second chances granted at the cache's cold end vs
-	// final evictions. Present once eviction pressure has occurred;
-	// without a tiered backend every entry counts under tier 0.
-	CacheRetainedByTier []uint64 `json:"cache_retained_by_tier,omitempty"`
-	CacheEvictedByTier  []uint64 `json:"cache_evicted_by_tier,omitempty"`
 	// RemoteCache surfaces the tiered read-path counters of an injected
 	// backend that maintains caches (a tablenet.Client, or a Router's
 	// aggregate over its shard clients): hot-key and level-block hits
@@ -673,29 +712,31 @@ type Stats struct {
 // approximately (not jointly) consistent.
 func (s *Synthesizer) Stats() Stats {
 	st := Stats{
-		Workers:     cap(s.sem),
-		InFlight:    s.inFlight.Load(),
-		Waiting:     s.waiting.Load(),
-		Queries:     s.queries.Load(),
-		Errors:      s.errors.Load(),
-		Canceled:    s.canceled.Load(),
-		CacheHits:   s.hits.Load(),
-		CacheMisses: s.misses.Load(),
-		Direct:      s.direct.Load(),
-		MITM:        s.mitm.Load(),
-		Uptime:      time.Since(s.start),
+		Workers:        cap(s.sem),
+		InFlight:       s.inFlight.Load(),
+		Waiting:        s.waiting.Load(),
+		Errors:         s.errors.Load(),
+		Canceled:       s.canceled.Load(),
+		Direct:         s.direct.Load(),
+		MITM:           s.mitm.Load(),
+		LatencyBuckets: make([]uint64, len(latencyBoundsNS)+1),
+		Uptime:         time.Since(s.start),
 	}
-	if s.cache != nil {
-		st.CacheRetainedByTier, st.CacheEvictedByTier = s.cache.retentionStats()
+	var latSumNS int64
+	for i := range s.stripes {
+		sp := &s.stripes[i]
+		st.Queries += sp.queries.Load()
+		st.CacheHits += sp.hits.Load()
+		st.CacheMisses += sp.misses.Load()
+		latSumNS += sp.latSumNS.Load()
+		for b := range sp.latBuckets {
+			st.LatencyBuckets[b] += sp.latBuckets[b].Load()
+		}
 	}
+	st.LatencySum = time.Duration(latSumNS).Seconds()
 	if served := st.Direct + st.MITM; served > 0 {
 		st.AvgLatency = time.Duration(s.latencyNS.Load() / int64(served))
 	}
-	st.LatencyBuckets = make([]uint64, len(s.latBuckets))
-	for i := range s.latBuckets {
-		st.LatencyBuckets[i] = s.latBuckets[i].Load()
-	}
-	st.LatencySum = time.Duration(s.latSumNS.Load()).Seconds()
 	select {
 	case <-s.ready:
 		st.LoadDuration = s.loadDur

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -18,7 +19,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/gate"
 	"repro/internal/perm"
-	"repro/internal/tables"
 )
 
 // The fixture table set is built once per test binary (k = 4: ≈7000
@@ -348,15 +348,15 @@ func TestServiceCache(t *testing.T) {
 func TestLRUEviction(t *testing.T) {
 	c := newLRU(2)
 	a := perm.Perm(perm.Identity)
-	c.put(a, nil, core.Info{Cost: 0}, nil, 0)
+	c.put(a, nil, core.Info{Cost: 0}, nil)
 	b := randomCircuitPerm(rand.New(rand.NewSource(1)), 3)
-	c.put(b, nil, core.Info{Cost: 1}, nil, 0)
+	c.put(b, nil, core.Info{Cost: 1}, nil)
 	if _, _, _, ok := c.get(a); !ok {
 		t.Fatal("a evicted too early")
 	}
 	// a is now most recent; inserting a third key must evict b.
 	d := randomCircuitPerm(rand.New(rand.NewSource(2)), 5)
-	c.put(d, nil, core.Info{Cost: 2}, nil, 0)
+	c.put(d, nil, core.Info{Cost: 2}, nil)
 	if _, _, _, ok := c.get(b); ok {
 		t.Fatal("b not evicted")
 	}
@@ -365,112 +365,169 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-// TestLRUTieredRetention: the escalation-aware policy — a deep-tier
-// entry at the cold end is rotated back (spending a life) instead of
-// evicted, so it outlives the shallow-tier churn around it, and the
-// per-tier retention counters record both outcomes.
-func TestLRUTieredRetention(t *testing.T) {
-	c := newLRU(2)
-	deep := randomCircuitPerm(rand.New(rand.NewSource(1)), 5)
-	c.put(deep, nil, core.Info{Cost: 5}, nil, 2)
-	shallow := perm.Perm(perm.Identity)
-	c.put(shallow, nil, core.Info{}, nil, 0)
-	// Inserting a third key finds the deep entry at the cold end: it
-	// must be granted a second chance and the shallow one evicted.
-	next := randomCircuitPerm(rand.New(rand.NewSource(2)), 3)
-	c.put(next, nil, core.Info{Cost: 3}, nil, 0)
-	if _, _, _, ok := c.get(deep); !ok {
-		t.Fatal("deep-tier entry evicted before a shallow one")
-	}
-	if _, _, _, ok := c.get(shallow); ok {
-		t.Fatal("shallow-tier entry survived a deep one")
-	}
-	retained, evicted := c.retentionStats()
-	if len(retained) < 3 || retained[2] != 1 {
-		t.Fatalf("retained = %v, want one second chance at tier 2", retained)
-	}
-	if evicted[0] != 1 {
-		t.Fatalf("evicted = %v, want one tier-0 eviction", evicted)
-	}
-	// Untouched, the deep entry's lives run out under continued churn:
-	// it must eventually be evicted (no permanent pinning).
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 10; i++ {
-		c.put(randomCircuitPerm(rng, 4), nil, core.Info{Cost: 4}, nil, 0)
-	}
-	if _, _, _, ok := c.get(deep); ok {
-		t.Fatal("deep-tier entry pinned forever")
-	}
-	if _, evicted := c.retentionStats(); len(evicted) < 3 || evicted[2] != 1 {
-		t.Fatalf("evicted = %v, want the deep entry's final eviction at tier 2", evicted)
-	}
-}
-
-// tieredBackend wraps a backend with a static cost→tier map, standing
-// in for a tablenet.Federation in retention tests.
-type tieredBackend struct {
-	tables.Backend
-	horizons []int
-}
-
-func (b *tieredBackend) TierForCost(cost int) int {
-	for i, h := range b.horizons {
-		if cost <= h {
-			return i
+// TestLRUShards: the shard count follows the capacity — one shard,
+// hence exact LRU order, below 512 entries and 16 at the default — the
+// shard capacities sum to the cache's, and churn fills the cache to
+// exactly its capacity and never past it.
+func TestLRUShards(t *testing.T) {
+	for _, tc := range []struct{ capacity, shards int }{
+		{0, 1}, {2, 1}, {511, 1}, {512, 2}, {1001, 2}, {1025, 4},
+		{DefaultCacheSize, 16}, {1 << 14, 16},
+	} {
+		c := newLRU(tc.capacity)
+		sum := 0
+		for i := range c.shards {
+			sum += c.shards[i].cap
+		}
+		if len(c.shards) != tc.shards || sum != max(tc.capacity, 1) {
+			t.Errorf("capacity %d: %d shards holding %d entries, want %d shards holding %d",
+				tc.capacity, len(c.shards), sum, tc.shards, max(tc.capacity, 1))
 		}
 	}
-	return len(b.horizons) - 1
+	const capacity = 1001
+	c := newLRU(capacity)
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 20*capacity; i++ {
+		c.put(perm.Perm(rng.Uint64()), nil, core.Info{}, nil)
+		if n := c.len(); n > capacity {
+			t.Fatalf("len %d after %d inserts, capacity %d", n, i+1, capacity)
+		}
+	}
+	if n := c.len(); n != capacity {
+		t.Fatalf("len %d after churn, want the full capacity %d", n, capacity)
+	}
 }
 
-// TestServiceTieredCacheRetention: end to end through the service —
-// with a tier-resolving backend, answers that needed the deep tier
-// outlive shallow-tier churn in the result cache, and the per-tier
-// retention counters surface in Stats.
-func TestServiceTieredCacheRetention(t *testing.T) {
+// TestServiceConcurrentCachedQueries drives the sharded result cache
+// and the striped counters from several cores at once: 8 clients each
+// send, in their own random order, a key set twice the default cache
+// capacity, so hits, misses and evictions interleave in every shard.
+// Every answer must compute its spec at the optimal cost, the counters
+// must add up, and the cache must never grow past its capacity. Run
+// with -race.
+func TestServiceConcurrentCachedQueries(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(4, runtime.GOMAXPROCS(0))))
 	res := fixtureTables(t)
-	b, err := tables.NewLocal(res)
+	ref, err := core.FromResult(res, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc, err := New(Config{
-		Backend:      &tieredBackend{Backend: b, horizons: []int{1, 2, 100}},
-		QueryWorkers: 1,
-		CacheSize:    2,
-	})
+	ref.SetWorkers(1)
+	// Circuits of at most 4 gates: k = 4 tables answer them by a direct
+	// lookup, which keeps the run short under the race detector.
+	rng := rand.New(rand.NewSource(11))
+	n := 2 * DefaultCacheSize
+	seen := make(map[perm.Perm]bool, n)
+	specs := make([]perm.Perm, 0, n)
+	for len(specs) < n {
+		if f := randomCircuitPerm(rng, 1+rng.Intn(4)); !seen[f] {
+			seen[f] = true
+			specs = append(specs, f)
+		}
+	}
+	costs := make([]int, n)
+	for i, f := range specs {
+		_, info, err := ref.SynthesizeInfo(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		costs[i] = info.Cost
+	}
+
+	svc, err := New(Config{Tables: res, QueryWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer svc.Close(context.Background())
 
-	// A cost-4 representative resolves to tier 2 (two retention lives);
-	// identity and cost-1 representatives to tier 0.
-	deep := res.Levels[4][0]
-	if _, info, err := svc.Synthesize(context.Background(), deep); err != nil {
-		t.Fatal(err)
-	} else if got := svc.cacheTier(info, nil); got != 2 {
-		t.Fatalf("deep query resolved to tier %d (cost %d), want 2", got, info.Cost)
+	const clients = 8
+	var wg sync.WaitGroup
+	errCh := make(chan error, clients)
+	for w := 0; w < clients; w++ {
+		order := rng.Perm(n)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for _, i := range order {
+				c, _, err := svc.Synthesize(context.Background(), specs[i])
+				switch {
+				case err != nil:
+					errCh <- fmt.Errorf("spec %v: %v", specs[i], err)
+					return
+				case c.Perm() != specs[i]:
+					errCh <- fmt.Errorf("spec %v: circuit %v computes %v", specs[i], c, c.Perm())
+					return
+				case len(c) != costs[i]:
+					errCh <- fmt.Errorf("spec %v: %d gates, optimal cost %d", specs[i], len(c), costs[i])
+					return
+				}
+			}
+		}()
 	}
-	// Flood with cheap queries; the deep answer must still be a cache
-	// hit afterwards (capacity 2 with plain LRU would have evicted it).
-	cheap := []perm.Perm{perm.Perm(perm.Identity), res.Levels[1][0], res.Levels[1][1]}
-	for _, f := range cheap {
-		if _, _, err := svc.Synthesize(context.Background(), f); err != nil {
-			t.Fatal(err)
+	// Sample the cache length until the clients finish.
+	finished := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(finished)
+	}()
+	longest := 0
+	for sampling := true; sampling; {
+		select {
+		case <-finished:
+			sampling = false
+		default:
 		}
+		longest = max(longest, svc.cache.len())
 	}
-	before := svc.Stats().CacheHits
-	if _, _, err := svc.Synthesize(context.Background(), deep); err != nil {
+	close(errCh)
+	for err := range errCh {
 		t.Fatal(err)
+	}
+
+	if longest > DefaultCacheSize {
+		t.Fatalf("cache held %d entries, capacity %d", longest, DefaultCacheSize)
 	}
 	st := svc.Stats()
-	if st.CacheHits != before+1 {
-		t.Fatalf("deep-tier answer was evicted by shallow churn (hits %d → %d)", before, st.CacheHits)
+	if want := uint64(clients * n); st.Queries != want {
+		t.Fatalf("Queries = %d, want %d", st.Queries, want)
 	}
-	if len(st.CacheRetainedByTier) < 3 || st.CacheRetainedByTier[2] == 0 {
-		t.Fatalf("CacheRetainedByTier = %v, want tier-2 second chances", st.CacheRetainedByTier)
+	if st.CacheHits+st.CacheMisses != st.Queries || st.CacheHits == 0 || st.CacheMisses == 0 {
+		t.Fatalf("hits %d + misses %d vs queries %d: want both paths taken and summing to the queries",
+			st.CacheHits, st.CacheMisses, st.Queries)
 	}
-	if len(st.CacheEvictedByTier) == 0 || st.CacheEvictedByTier[0] == 0 {
-		t.Fatalf("CacheEvictedByTier = %v, want tier-0 evictions", st.CacheEvictedByTier)
+	var observed uint64
+	for _, b := range st.LatencyBuckets {
+		observed += b
+	}
+	if observed != st.Queries {
+		t.Fatalf("latency histogram holds %d queries, want %d", observed, st.Queries)
+	}
+}
+
+// TestLatencyBuckets pins the histogram's published bounds and its
+// bucket rule: a duration lands in the first bucket whose bound it does
+// not exceed, and past the last bound in the overflow bucket.
+func TestLatencyBuckets(t *testing.T) {
+	want := []float64{
+		1e-6, 2.5e-6, 5e-6, 1e-5, 2.5e-5, 5e-5, 1e-4, 2.5e-4, 5e-4,
+		1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
+	}
+	if !slices.Equal(LatencyBucketBounds, want) {
+		t.Fatalf("LatencyBucketBounds = %v, want %v", LatencyBucketBounds, want)
+	}
+	for _, tc := range []struct {
+		d      time.Duration
+		bucket int
+	}{
+		{0, 0}, {time.Microsecond, 0}, {time.Microsecond + 1, 1},
+		{3 * time.Millisecond, 11}, {10 * time.Second, 21},
+		{10*time.Second + 1, 22}, {time.Hour, 22},
+	} {
+		var st counterStripe
+		st.observe(tc.d)
+		if st.latBuckets[tc.bucket].Load() != 1 || st.latSumNS.Load() != int64(tc.d) {
+			t.Errorf("%v: not observed in bucket %d (le %v)", tc.d, tc.bucket, LatencyBucketBounds[min(tc.bucket, len(want)-1)])
+		}
 	}
 }
 

@@ -431,21 +431,6 @@ func (f *Federation) Residency(ctx context.Context) []ShardResidency {
 // Tiers returns the number of tiers.
 func (f *Federation) Tiers() int { return len(f.tiers) }
 
-// TierForCost implements tables.TierResolver: the index of the
-// shallowest tier whose cost horizon covers cost — the tier
-// LookupBatchBounded routes a bound-cost probe to first and, when the
-// tiers are healthy, the one that answers it. Costs beyond every
-// horizon report the deepest tier (answering them exhausted the whole
-// escalation chain).
-func (f *Federation) TierForCost(cost int) int {
-	for i, t := range f.tiers {
-		if cost <= t.horizon {
-			return i
-		}
-	}
-	return len(f.tiers) - 1
-}
-
 // Close closes every tier.
 func (f *Federation) Close() error {
 	var errs []error

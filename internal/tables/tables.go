@@ -337,20 +337,6 @@ type TierStatser interface {
 	TierStats() []TierStats
 }
 
-// TierResolver is implemented by tiered backends that can statically
-// map a minimal cost to the tier that answers it. The service layer
-// uses it to weight result-cache retention: an answer that had to come
-// from a deep (expensive) tier is worth keeping longer than one any
-// tier could have produced.
-type TierResolver interface {
-	// TierForCost returns the index (0 = shallowest) of the tier whose
-	// cost horizon covers the given minimal cost — the tier a direct
-	// lookup of that cost is answered by. Costs beyond every horizon
-	// return the deepest tier: resolving them consumed the whole
-	// escalation chain.
-	TierForCost(cost int) int
-}
-
 // Local is the in-process Backend over a bfs.Result (live, frozen, or
 // memory-mapped). It is the reference implementation the network stack
 // is tested against, and the backend every shard server exports.
