@@ -23,14 +23,19 @@
 // # Parallelism
 //
 // Both the precomputation BFS and the meet-in-the-middle query stage run
-// multicore by default: level expansion and prefix scanning fan out over
-// runtime.GOMAXPROCS(0) goroutines against a sharded concurrent hash
-// table whose read path is lock-free after the build phase — each cost
+// multicore by default over runtime.GOMAXPROCS(0) goroutines. Level
+// expansion inserts into a sharded concurrent hash table — each cost
 // level expands independently per representative, which is what lets
 // the paper reach k = 9 on a large multicore machine (§4.1 reports a
-// 16-CPU run). Set SynthConfig.Workers to bound the fan-out; Workers: 1
-// reproduces the original sequential behaviour exactly, and per-level
-// class counts are identical for every worker count.
+// 16-CPU run) — and the finished build is compacted into the immutable
+// frozen table that prefix scanning probes without locks. Set
+// SynthConfig.Workers to bound the fan-out. Workers: 1 reproduces the
+// original sequential behaviour exactly. Per-level class counts and
+// costs are identical for every worker count, but with more workers a
+// duplicate candidate goes to whichever insert wins the race, so the
+// order within a level and the boundary gate stored for a class vary
+// from run to run (about 46 % of the k = 6 keys on real cores); the
+// circuits returned stay optimal but may differ.
 //
 // # Paper-scale builds
 //
@@ -75,11 +80,13 @@
 //	defer svc.Close(context.Background())
 //	circ, info, err := svc.Synthesize(ctx, spec) // concurrent, cached, cancellable
 //
-// The first run builds, compacts, and persists the tables in the
-// tablesio v2 zero-copy layout; every later run memory-maps that store —
-// cold start is O(pages touched), milliseconds even for table sets whose
-// v1-style parse-and-rehash took seconds to minutes, and concurrent
-// server processes share one page-cache copy. The service then answers
+// The first run builds the tables and persists them in the tablesio v2
+// zero-copy layout — the same layout the built tables have in memory;
+// every later run memory-maps that store — cold start is O(pages
+// touched), milliseconds even for table sets whose parse-and-rehash
+// would take minutes, and concurrent server processes share one
+// page-cache copy. A store in any other format version is refused with
+// an error, never rebuilt over. The service then answers
 // any number of concurrent queries through a bounded worker pool with an
 // LRU cache of recent results and atomic serving counters
 // (Service.Stats, including the table format and byte footprint). The
@@ -508,10 +515,9 @@ func NewService(cfg ServiceConfig) (*Service, error) { return service.New(cfg) }
 // cold multi-minute k = 9 load.
 func NewServiceAsync(cfg ServiceConfig) *Service { return service.NewAsync(cfg) }
 
-// LoadSynthesizer rehydrates tables written by SaveTables (either
-// format version; the stream is sniffed and fully verified). The
-// alphabet must match the saved one; pass nil for the standard 32-gate
-// library.
+// LoadSynthesizer rehydrates tables written by SaveTables (the stream is
+// fully verified; other format versions are refused). The alphabet must
+// match the saved one; pass nil for the standard 32-gate library.
 func LoadSynthesizer(r io.Reader, alphabet *bfs.Alphabet) (*Synthesizer, error) {
 	if alphabet == nil {
 		alphabet = bfs.GateAlphabet()

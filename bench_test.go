@@ -14,6 +14,7 @@ package repro
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -112,7 +113,7 @@ func BenchmarkTable2HashStats(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				st = res.Table.ComputeStats()
+				st = res.TableStats()
 			}
 			b.ReportMetric(st.LoadFactor, "load")
 			b.ReportMetric(st.AvgChain, "avgChain")
@@ -277,8 +278,9 @@ func BenchmarkAblationHash(b *testing.B) {
 	}
 	var keys []uint64
 	for c := 0; c <= 5; c++ {
-		for _, rep := range res.Levels[c] {
-			keys = append(keys, uint64(rep))
+		lvl := res.Level(c)
+		for i := 0; i < lvl.Len(); i++ {
+			keys = append(keys, uint64(lvl.At(i)))
 		}
 	}
 	for _, kind := range []struct {
@@ -455,25 +457,43 @@ func BenchmarkExtensionHeuristicLadder(b *testing.B) {
 }
 
 // BenchmarkExtensionTableIO measures the paper's store-once/load-per-run
-// workflow at k = 5 (the paper loads its k = 9 tables in 1111 s on CS1).
+// workflow at k = 5 (the paper loads its k = 9 tables in 1111 s on CS1):
+// one v2 store loaded through the verifying stream loader and through
+// the mmap fast path.
 func BenchmarkExtensionTableIO(b *testing.B) {
 	res, err := bfs.Search(bfs.GateAlphabet(), 5, nil)
 	if err != nil {
 		b.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := tablesio.Save(&buf, res); err != nil {
+	if err := tablesio.SaveV2(&buf, res); err != nil {
 		b.Fatal(err)
 	}
 	blob := buf.Bytes()
-	b.SetBytes(int64(len(blob)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := tablesio.Load(bytes.NewReader(blob), bfs.GateAlphabet()); err != nil {
-			b.Fatal(err)
-		}
+	path := filepath.Join(b.TempDir(), "k5.tables")
+	if err := os.WriteFile(path, blob, 0o644); err != nil {
+		b.Fatal(err)
 	}
+	b.Run("v2-stream", func(b *testing.B) {
+		b.SetBytes(int64(len(blob)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := tablesio.Load(bytes.NewReader(blob), bfs.GateAlphabet()); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("v2-mmap", func(b *testing.B) {
+		b.SetBytes(int64(len(blob)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			loaded, _, err := tablesio.LoadFile(path, bfs.GateAlphabet(), nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			loaded.Frozen.Close()
+		}
+	})
 }
 
 // BenchmarkExtensionDepthOptimal covers the paper §5 depth variant: the

@@ -16,14 +16,13 @@
 //
 // The daemon starts listening immediately; /healthz reports 503 until
 // the tables are servable, so an orchestrator can gate traffic on
-// readiness while a cold start proceeds. How long that is depends on the
-// store format: a tablesio v2 store (what -tables writes) is
-// memory-mapped — milliseconds, O(pages touched), shared page-cache copy
-// across replicas — while a legacy v1 store streams through the
-// parse-and-rehash loader (the paper's §4.1 1111-second regime, scaled).
-// /stats reports the path taken (table_format: "v2+mmap", "v1", or
-// "built") alongside table_bytes, table_resident_bytes (mincore page
-// residency of a mapped store) and load_duration_ns.
+// readiness while a cold start proceeds. A tablesio v2 store (what
+// -tables writes) is memory-mapped — milliseconds, O(pages touched),
+// shared page-cache copy across replicas; a store of any other format
+// version is refused with an error naming it. /stats reports the path
+// taken (table_format: "v2+mmap", "v2" or "built") alongside
+// table_bytes, table_resident_bytes (mincore page residency of a mapped
+// store) and load_duration_ns.
 //
 // # Distributed serving
 //
@@ -696,9 +695,6 @@ func runShardServer(addr, tablesPath string, k int, alphabet *bfs.Alphabet, quer
 			log.Fatal(err)
 		}
 		res = synth.Result()
-		if err := res.Compact(); err != nil {
-			log.Fatal(err)
-		}
 		if tablesPath != "" {
 			if err := tablesio.SaveFile(tablesPath, res); err != nil {
 				log.Fatal(err)
@@ -747,9 +743,7 @@ func runShardServer(addr, tablesPath string, k int, alphabet *bfs.Alphabet, quer
 		log.Printf("drain cut short: %v", err)
 	}
 	srv.Close()
-	if res.Frozen != nil {
-		res.Frozen.Close()
-	}
+	res.Frozen.Close()
 	log.Print("bye")
 }
 

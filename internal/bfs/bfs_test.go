@@ -127,7 +127,9 @@ func TestLNNCostsDominateUnrestricted(t *testing.T) {
 	}
 	checked := 0
 	for c := 0; c <= 4; c++ {
-		for _, f := range lnn.Levels[c] {
+		lvl := lnn.Level(c)
+		for i := 0; i < lvl.Len(); i++ {
+			f := lvl.At(i)
 			if fc, ok := free.CostOf(f); ok {
 				if fc > c {
 					t.Fatalf("unrestricted cost %d exceeds LNN cost %d for %v", fc, c, f)
@@ -286,9 +288,6 @@ func TestParallelSearchMatchesSequential(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !par.Table.Frozen() {
-		t.Fatal("search returned an unfrozen table")
-	}
 	for c := 0; c <= k; c++ {
 		if got, want := int64(par.ReducedCount(c)), GateReducedCounts[c]; got != want {
 			t.Errorf("parallel reduced count at size %d = %d, want %d (paper Table 4)", c, got, want)
@@ -300,8 +299,8 @@ func TestParallelSearchMatchesSequential(t *testing.T) {
 			t.Errorf("parallel full count at size %d = %d, want %d (paper Table 4)", c, got, want)
 		}
 		// Set equality, not just cardinality: sort copies of both levels.
-		a := append([]perm.Perm(nil), seq.Levels[c]...)
-		b := append([]perm.Perm(nil), par.Levels[c]...)
+		a := levelReps(seq, c)
+		b := levelReps(par, c)
 		if len(a) != len(b) {
 			t.Fatalf("level %d sizes differ: sequential %d, parallel %d", c, len(a), len(b))
 		}
@@ -367,9 +366,9 @@ func TestCostOfAgreesWithLevels(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(1))
 	for c := 0; c <= 4; c++ {
-		lvl := res.Levels[c]
-		for trial := 0; trial < 50 && trial < len(lvl); trial++ {
-			rep := lvl[rng.Intn(len(lvl))]
+		lvl := res.Level(c)
+		for trial := 0; trial < 50 && trial < lvl.Len(); trial++ {
+			rep := lvl.At(rng.Intn(lvl.Len()))
 			got, ok := res.CostOf(rep)
 			if !ok || got != c {
 				t.Fatalf("CostOf(level-%d rep) = %d,%v", c, got, ok)
@@ -480,8 +479,9 @@ func TestWeightedSearchQuantumCost(t *testing.T) {
 	// TOF-bearing function can appear below cost 5.
 	tof := gate.MustParse("TOF(a,b,c)").Perm()
 	for c := 1; c < 5; c++ {
-		for _, rep := range res.Levels[c] {
-			if rep == canon.Rep(tof) {
+		lvl := res.Level(c)
+		for i := 0; i < lvl.Len(); i++ {
+			if lvl.At(i) == canon.Rep(tof) {
 				t.Fatalf("TOF class appeared at cost %d", c)
 			}
 		}
@@ -591,7 +591,7 @@ func BenchmarkCanonicalizeExpansion(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	reps := res.Levels[3]
+	reps := levelReps(res, 3)
 	a := GateAlphabet()
 	b.ReportAllocs()
 	b.ResetTimer()

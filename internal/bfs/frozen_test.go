@@ -7,78 +7,82 @@ import (
 	"repro/internal/perm"
 )
 
-// TestCompactPreservesQueries freezes a live search result in place and
-// checks every backend-neutral accessor against the pre-compaction
-// answers: levels (content and order), counts, lookups, costs,
-// containment, and memory accounting.
+// levelReps copies cost level c of res into a slice.
+func levelReps(res *Result, c int) []perm.Perm {
+	lvl := res.Level(c)
+	out := make([]perm.Perm, lvl.Len())
+	for i := range out {
+		out[i] = lvl.At(i)
+	}
+	return out
+}
+
+// buildBytes is the build state's footprint, counted the way
+// Result.MemoryBytes counts the frozen layout: hash-table slots plus the
+// level lists (8 bytes per representative).
+func buildBytes(b *builder) int64 {
+	n := b.table.MemoryBytes()
+	for _, lvl := range b.levels {
+		n += int64(len(lvl)) * 8
+	}
+	return n
+}
+
+// TestCompactPreservesQueries checks the Result that Search returns
+// against the build state it was compacted from: levels (content and
+// order), values, costs, FullCounts, containment of class members and
+// of absent functions, and memory accounting.
 func TestCompactPreservesQueries(t *testing.T) {
-	res, err := Search(GateAlphabet(), 4, nil)
+	b, err := build(GateAlphabet(), 4, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	type levelSnapshot struct {
-		reps []perm.Perm
-		vals []Value
-	}
-	// An out-of-horizon function, captured while the live backend can
-	// vouch for its absence.
+	// An out-of-horizon function, taken from the build table's view.
 	absent := perm.Perm(0)
 	for x := uint64(1); x < 1<<16 && absent == 0; x++ {
 		p := perm.Perm(uint64(perm.Identity) ^ x<<1 ^ x<<17)
-		if p.IsValid() && !res.Contains(p) {
+		if p.IsValid() && !b.table.Contains(uint64(canon.Rep(p))) {
 			absent = p
 		}
 	}
 	if absent == 0 {
 		t.Fatal("could not find an absent permutation")
 	}
-	snap := make([]levelSnapshot, res.MaxCost+1)
-	for c := 0; c <= res.MaxCost; c++ {
-		lvl := res.Level(c)
-		s := levelSnapshot{}
-		for i := 0; i < lvl.Len(); i++ {
-			v, ok := res.Lookup(lvl.At(i))
-			if !ok {
-				t.Fatal("level entry missing pre-compact")
-			}
-			s.reps = append(s.reps, lvl.At(i))
-			s.vals = append(s.vals, v)
+	fullCounts := make([]int64, len(b.levels))
+	for c, lvl := range b.levels {
+		for _, rep := range lvl {
+			fullCounts[c] += int64(canon.ClassSize(rep))
 		}
-		snap[c] = s
 	}
-	liveBytes := res.MemoryBytes()
-	total := res.TotalStored()
-	fullCounts := make([]int64, res.MaxCost+1)
-	for c := range fullCounts {
-		fullCounts[c] = res.FullCount(c)
-	}
+	liveBytes := buildBytes(b)
+	total := b.table.Len()
 
-	if err := res.Compact(); err != nil {
+	res, err := b.freeze()
+	if err != nil {
 		t.Fatal(err)
-	}
-	if res.Frozen == nil || res.Table != nil || res.Levels != nil {
-		t.Fatal("Compact left the live backend in place")
 	}
 	if res.TotalStored() != total {
 		t.Fatalf("entries %d, want %d", res.TotalStored(), total)
 	}
-	if res.Compact() != nil {
-		t.Fatal("second Compact is not a no-op")
+	ft := res.Frozen
+	if res.Compact() != nil || res.Frozen != ft {
+		t.Fatal("Compact is not a no-op")
 	}
 	for c := 0; c <= res.MaxCost; c++ {
 		lvl := res.Level(c)
-		if lvl.Len() != len(snap[c].reps) {
-			t.Fatalf("level %d length %d, want %d", c, lvl.Len(), len(snap[c].reps))
+		if lvl.Len() != len(b.levels[c]) {
+			t.Fatalf("level %d length %d, want %d", c, lvl.Len(), len(b.levels[c]))
 		}
 		for i := 0; i < lvl.Len(); i++ {
-			if lvl.At(i) != snap[c].reps[i] {
+			rep := b.levels[c][i]
+			if lvl.At(i) != rep {
 				t.Fatalf("level %d entry %d reordered", c, i)
 			}
-			v, ok := res.Lookup(lvl.At(i))
-			if !ok || v != snap[c].vals[i] {
-				t.Fatalf("level %d entry %d value %+v, want %+v", c, i, v, snap[c].vals[i])
+			want, _ := b.table.Lookup(uint64(rep))
+			if got, ok := res.LookupRaw(uint64(rep)); !ok || got != want {
+				t.Fatalf("level %d entry %d value %#x,%v, want %#x", c, i, got, ok, want)
 			}
-			if cost, ok := res.CostOf(lvl.At(i)); !ok || cost != c {
+			if cost, ok := res.CostOf(rep); !ok || cost != c {
 				t.Fatalf("CostOf(level %d rep) = %d,%v", c, cost, ok)
 			}
 		}
@@ -87,46 +91,47 @@ func TestCompactPreservesQueries(t *testing.T) {
 		}
 	}
 	// Class members still resolve through canonicalization.
-	rep := snap[3].reps[0]
+	rep := b.levels[3][0]
 	member := perm.Conjugate(rep, canon.Shuffle(7))
 	if !res.Contains(member) {
-		t.Fatal("class member lost after Compact")
+		t.Fatal("class member lost by compaction")
 	}
 	if cost, ok := res.CostOf(member.Inverse()); !ok || cost != 3 {
 		t.Fatalf("inverse member cost %d,%v", cost, ok)
 	}
 	if res.Contains(absent) {
-		t.Fatal("absent function appeared after Compact")
+		t.Fatal("absent function appeared after compaction")
 	}
 	if !res.Contains(perm.Identity) {
-		t.Fatal("identity lost after Compact")
+		t.Fatal("identity lost by compaction")
 	}
 	// Uniform shard sizing can round the table up at pow2 boundaries, so
 	// the guarantee at arbitrary k is "same ballpark"; the realistic
 	// saving is pinned at k = 5 by TestCompactMemorySavings.
 	frozenBytes := res.MemoryBytes()
 	if float64(frozenBytes) > 1.25*float64(liveBytes) {
-		t.Fatalf("compact backend ballooned: %d vs %d bytes", frozenBytes, liveBytes)
+		t.Fatalf("compact layout ballooned: %d vs %d bytes", frozenBytes, liveBytes)
 	}
 	if st := res.TableStats(); st.Entries != total {
 		t.Fatalf("TableStats entries %d, want %d", st.Entries, total)
 	}
 }
 
-// TestCompactMemorySavings quantifies the in-place saving at a real
-// table size: replacing the 8-byte-per-representative Levels copy with
-// the 4-byte slot index trims the live footprint by ~20% (20 → 16
+// TestCompactMemorySavings quantifies the saving of compaction at a real
+// table size: replacing the 8-byte-per-representative level lists with
+// the 4-byte slot index trims the build footprint by ~20% (20 → 16
 // bytes/rep at k = 5). The larger cold-start claim — resident heap per
 // representative down ≥ 30% — belongs to the mmap path, where table and
 // index are file-backed and the heap cost per representative is near
 // zero; tablesio's BenchmarkColdStart measures that via runtime.MemStats.
 func TestCompactMemorySavings(t *testing.T) {
-	res, err := Search(GateAlphabet(), 5, nil)
+	b, err := build(GateAlphabet(), 5, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := res.MemoryBytes()
-	if err := res.Compact(); err != nil {
+	before := buildBytes(b)
+	res, err := b.freeze()
+	if err != nil {
 		t.Fatal(err)
 	}
 	after := res.MemoryBytes()
@@ -135,7 +140,7 @@ func TestCompactMemorySavings(t *testing.T) {
 		before, after, saved*100,
 		float64(before)/float64(res.TotalStored()), float64(after)/float64(res.TotalStored()))
 	if saved < 0.15 {
-		t.Fatalf("compact backend saves only %.0f%%, want ≥ 15%%", saved*100)
+		t.Fatalf("compact layout saves only %.0f%%, want ≥ 15%%", saved*100)
 	}
 }
 
@@ -150,10 +155,7 @@ func TestFromFrozenValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ft, idx, counts, err := res.CompactView()
-	if err != nil {
-		t.Fatal(err)
-	}
+	ft, idx, counts := res.Layout()
 	if _, err := FromFrozen(res.Alphabet, res.MaxCost, true, ft, idx, counts, true); err != nil {
 		t.Fatalf("valid frozen parts rejected: %v", err)
 	}

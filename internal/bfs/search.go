@@ -91,8 +91,8 @@ type Options struct {
 	// natural mode for exhausting small closed subgroups such as the
 	// linear functions of Table 5.
 	NoReduction bool
-	// CapacityHint pre-sizes the hash table (entries). Zero lets the
-	// table grow on demand.
+	// CapacityHint pre-sizes the build-phase hash table (entries). Zero
+	// lets the table grow on demand.
 	CapacityHint int
 	// Progress, when non-nil, is called after each completed cost level
 	// with the level index and the number of new representatives.
@@ -100,9 +100,14 @@ type Options struct {
 	// Workers is the number of goroutines expanding each cost level.
 	// Zero (or negative) means runtime.GOMAXPROCS(0). Workers == 1 runs
 	// the exact sequential expansion order of the original
-	// implementation, so level lists are byte-for-byte reproducible; with
-	// more workers the per-level sets and counts are identical but the
-	// order within a level depends on scheduling.
+	// implementation, so the level lists and the stored values — and
+	// with them the saved store's bytes — are reproducible. With more
+	// workers the per-level sets and counts are identical, but a
+	// duplicate candidate is resolved by whichever insert wins the race:
+	// both the order within a level and the boundary element stored for
+	// a representative depend on scheduling (on real cores about 46 % of
+	// the k = 6 keys store a different element from run to run). Costs
+	// and the optimality of every circuit do not.
 	Workers int
 }
 
@@ -111,166 +116,77 @@ type Options struct {
 // mapping each representative to one boundary element of a minimal
 // circuit.
 //
-// A Result has one of two backends:
-//
-//   - Live (Search, v1 loads): Table holds the sharded hash table and
-//     Levels the per-cost representative lists.
-//   - Frozen (v2 loads, Compact): Frozen holds the immutable flat-layout
-//     table — possibly memory-mapped straight off a tablesio v2 file —
-//     and per-level iteration is served by a slot index into it, so no
-//     representative is stored twice. Table and Levels are nil.
-//
-// Query code should use the backend-neutral accessors (Level, LevelLen,
-// Lookup, Contains, CostOf, TotalStored, TableStats); the exported
-// fields remain for build-phase code and tests that exercise a specific
-// backend.
+// Every Result has the one layout that tablesio format v2 persists and
+// memory-maps: Frozen holds the immutable flat probe table (heap-backed
+// after Search, possibly the mapped store file after a load), and
+// per-level iteration is served by a slot index into it, so no
+// representative is stored twice. Query code uses the accessors (Level,
+// LevelLen, Lookup, Contains, CostOf, TotalStored, TableStats).
 type Result struct {
 	Alphabet *Alphabet
 	// MaxCost is the search horizon k: every class with minimal cost
 	// ≤ MaxCost is present.
 	MaxCost int
-	// Levels[c] lists the representatives with minimal cost exactly c;
-	// Levels[0] is the identity. With weighted alphabets some levels may
-	// be empty. Nil on the frozen backend — use Level / LevelLen.
-	Levels [][]perm.Perm
-	// Table maps each representative's packed word to its encoded value.
-	// Search freezes it before returning, so lookups are lock-free. Nil
-	// on the frozen backend.
-	Table *hashtab.ShardedTable
-	// Frozen is the flat immutable table on the frozen backend, nil on
-	// the live one.
+	// Frozen is the flat immutable table mapping each representative's
+	// packed word to its packed value.
 	Frozen *hashtab.FrozenTable
-	// levelOff/levelIdx serve per-level iteration on the frozen backend:
-	// level c is the global slot numbers
-	// levelIdx[levelOff[c]:levelOff[c+1]], in the level's storage order.
+	// levelOff/levelIdx serve per-level iteration: level c is the global
+	// slot numbers levelIdx[levelOff[c]:levelOff[c+1]], in the level's
+	// storage order. Level 0 is the identity; with weighted alphabets
+	// some levels may be empty.
 	levelOff []int
 	levelIdx []uint32
 	// Reduced records whether canonical reduction was applied.
 	Reduced bool
 }
 
-// LevelView is a backend-neutral, indexable view of one cost level's
-// representatives.
+// LevelView is an indexable view of one cost level's representatives.
 type LevelView struct {
-	reps []perm.Perm
-	idx  []uint32
-	ft   *hashtab.FrozenTable
+	idx []uint32
+	ft  *hashtab.FrozenTable
 }
 
 // Len returns the number of representatives in the level.
-func (v LevelView) Len() int {
-	if v.ft == nil {
-		return len(v.reps)
-	}
-	return len(v.idx)
-}
+func (v LevelView) Len() int { return len(v.idx) }
 
 // At returns the i-th representative.
-func (v LevelView) At(i int) perm.Perm {
-	if v.ft == nil {
-		return v.reps[i]
-	}
-	return perm.Perm(v.ft.KeyAt(v.idx[i]))
-}
+func (v LevelView) At(i int) perm.Perm { return perm.Perm(v.ft.KeyAt(v.idx[i])) }
 
-// Level returns an indexable view of cost level c, valid on both
-// backends.
+// Level returns an indexable view of cost level c.
 func (r *Result) Level(c int) LevelView {
-	if r.Frozen != nil {
-		return LevelView{idx: r.levelIdx[r.levelOff[c]:r.levelOff[c+1]], ft: r.Frozen}
-	}
-	return LevelView{reps: r.Levels[c]}
+	return LevelView{idx: r.levelIdx[r.levelOff[c]:r.levelOff[c+1]], ft: r.Frozen}
 }
 
 // LevelLen returns the number of representatives with cost exactly c.
-func (r *Result) LevelLen(c int) int {
-	if r.Frozen != nil {
-		return r.levelOff[c+1] - r.levelOff[c]
-	}
-	return len(r.Levels[c])
-}
+func (r *Result) LevelLen(c int) int { return r.levelOff[c+1] - r.levelOff[c] }
 
-// rawLookup probes whichever backend is live.
-func (r *Result) rawLookup(key uint64) (uint16, bool) {
-	if r.Frozen != nil {
-		return r.Frozen.Lookup(key)
-	}
-	return r.Table.Lookup(key)
-}
+// Compact does nothing and returns nil: Search already returns the
+// frozen layout.
+//
+// Deprecated: every Result is compact; callers can drop the call.
+func (r *Result) Compact() error { return nil }
 
-// Compact converts a live Result to the frozen backend in place: the
-// sharded table is re-laid into a flat hashtab.FrozenTable, the Levels
-// lists collapse into a slot index into it, and the originals are
-// dropped. One O(n) pass, after which the Result serves the same queries
-// from roughly 40% fewer resident bytes per representative (no second
-// copy of each packed word) — and is in exactly the layout tablesio
-// format v2 persists. No-op on an already-frozen Result.
-func (r *Result) Compact() error {
-	if r.Frozen != nil {
-		return nil
-	}
-	ft, idx, counts, err := r.CompactView()
-	if err != nil {
-		return err
-	}
-	levelOff := make([]int, r.MaxCost+2)
-	total := 0
-	for c, n := range counts {
-		levelOff[c] = total
-		total += n
-	}
-	levelOff[r.MaxCost+1] = total
-	r.Frozen, r.levelOff, r.levelIdx = ft, levelOff, idx
-	r.Table, r.Levels = nil, nil
-	return nil
-}
-
-// CompactView returns the frozen-layout components of the result — flat
-// table, per-level slot index, per-level counts — without mutating it.
-// On the frozen backend this is a reslice; on the live backend it
-// performs the one-off compaction pass (the caller decides whether to
-// keep it, as Compact does, or treat it as transient, as the v2 table
-// writer does).
-func (r *Result) CompactView() (*hashtab.FrozenTable, []uint32, []int, error) {
+// Layout returns the frozen-layout components of the result — flat
+// table, per-level slot index, per-level counts — which is exactly what
+// the v2 table writer persists.
+func (r *Result) Layout() (*hashtab.FrozenTable, []uint32, []int) {
 	counts := make([]int, r.MaxCost+1)
-	if r.Frozen != nil {
-		for c := range counts {
-			counts[c] = r.levelOff[c+1] - r.levelOff[c]
-		}
-		return r.Frozen, r.levelIdx, counts, nil
+	for c := range counts {
+		counts[c] = r.LevelLen(c)
 	}
-	ft, err := hashtab.Compact(r.Table)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	total := 0
-	for c := 0; c <= r.MaxCost; c++ {
-		counts[c] = len(r.Levels[c])
-		total += counts[c]
-	}
-	idx := make([]uint32, 0, total)
-	for c := 0; c <= r.MaxCost; c++ {
-		for _, rep := range r.Levels[c] {
-			slot, ok := ft.SlotOf(uint64(rep))
-			if !ok {
-				return nil, nil, nil, fmt.Errorf("bfs: representative %v missing from its own table", rep)
-			}
-			idx = append(idx, slot)
-		}
-	}
-	return ft, idx, counts, nil
+	return r.Frozen, r.levelIdx, counts
 }
 
-// FromFrozen assembles a frozen-backend Result from a flat table and its
-// per-level slot index (levelCounts[c] entries of levelIdx belong to
-// level c, in order). With verify set, the structural invariants are
-// checked exhaustively — every index hits a distinct live slot whose key
-// is a valid permutation, probe-reachable, cost-tagged with its level,
-// and element-tagged within the alphabet, and no table slot is orphaned
-// from the index. Loaders pass verify for untrusted streams and skip it
-// on the mmap fast path, where touching every page would defeat the
+// FromFrozen assembles a Result from a flat table and its per-level
+// slot index (levelCounts[c] entries of levelIdx belong to level c, in
+// order). With verify set, the structural invariants are checked
+// exhaustively — every index hits a distinct live slot whose key is a
+// valid permutation, probe-reachable, cost-tagged with its level, and
+// element-tagged within the alphabet, and no table slot is orphaned from
+// the index. Loaders pass verify for untrusted streams and skip it on
+// the mmap fast path, where touching every page would defeat the
 // O(pages-touched) cold start (tablesio's checksums cover integrity
-// there).
+// there); Search skips it for the layout it has just built.
 func FromFrozen(a *Alphabet, maxCost int, reduced bool, ft *hashtab.FrozenTable, levelIdx []uint32, levelCounts []int, verify bool) (*Result, error) {
 	if a == nil {
 		return nil, fmt.Errorf("bfs: nil alphabet")
@@ -313,7 +229,7 @@ func FromFrozen(a *Alphabet, maxCost int, reduced bool, ft *hashtab.FrozenTable,
 	return r, nil
 }
 
-// verifyFrozen checks the frozen backend's structural invariants; see
+// verifyFrozen checks the frozen layout's structural invariants; see
 // FromFrozen.
 func (r *Result) verifyFrozen() error {
 	ft := r.Frozen
@@ -364,28 +280,14 @@ func (r *Result) verifyFrozen() error {
 }
 
 // MemoryBytes returns the approximate resident footprint of the table
-// structures: hash-table slots plus, per backend, the Levels lists (live)
-// or the per-level slot index (frozen). For a memory-mapped frozen table
-// the bytes are file-backed rather than heap.
+// structures: hash-table slots plus the per-level slot index. For a
+// memory-mapped table the bytes are file-backed rather than heap.
 func (r *Result) MemoryBytes() int64 {
-	if r.Frozen != nil {
-		return r.Frozen.MemoryBytes() + int64(len(r.levelIdx))*4
-	}
-	var lv int64
-	for _, l := range r.Levels {
-		lv += int64(len(l)) * 8
-	}
-	return r.Table.MemoryBytes() + lv
+	return r.Frozen.MemoryBytes() + int64(len(r.levelIdx))*4
 }
 
-// TableStats returns probe-chain statistics for whichever backend is
-// live.
-func (r *Result) TableStats() hashtab.Stats {
-	if r.Frozen != nil {
-		return r.Frozen.ComputeStats()
-	}
-	return r.Table.ComputeStats()
-}
+// TableStats returns the table's probe-chain statistics.
+func (r *Result) TableStats() hashtab.Stats { return r.Frozen.ComputeStats() }
 
 // Search runs paper Algorithm 2 over the alphabet up to cost horizon k.
 // With unit costs this is plain breadth-first search by gate count; with
@@ -397,8 +299,31 @@ func (r *Result) TableStats() hashtab.Stats {
 // canonicalize and batch-insert candidates, and collect newly discovered
 // representatives in per-worker buffers that are concatenated at the
 // level barrier. The per-level sets (and therefore ReducedCount /
-// FullCount) are identical for every worker count.
+// FullCount) are identical for every worker count. The finished build
+// is compacted into the frozen layout (hashtab.Compact) before Search
+// returns; a table too large for its uint32 slot index is an error.
 func Search(a *Alphabet, k int, opts *Options) (*Result, error) {
+	b, err := build(a, k, opts)
+	if err != nil {
+		return nil, err
+	}
+	return b.freeze()
+}
+
+// builder is the private build state of one Search: the concurrent
+// sharded table the level expansion inserts into and the per-cost
+// representative lists in first-insertion order. freeze re-lays it into
+// a Result; nothing reads it afterwards.
+type builder struct {
+	alphabet *Alphabet
+	maxCost  int
+	reduced  bool
+	table    *hashtab.ShardedTable
+	levels   [][]perm.Perm
+}
+
+// build expands every cost level up to k into a fresh builder.
+func build(a *Alphabet, k int, opts *Options) (*builder, error) {
 	if a == nil {
 		return nil, fmt.Errorf("bfs: nil alphabet")
 	}
@@ -418,16 +343,15 @@ func Search(a *Alphabet, k int, opts *Options) (*Result, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	table := hashtab.NewSharded(max(opts.CapacityHint, 1<<10))
-	res := &Result{
-		Alphabet: a,
-		MaxCost:  k,
-		Levels:   make([][]perm.Perm, k+1),
-		Table:    table,
-		Reduced:  !opts.NoReduction,
+	b := &builder{
+		alphabet: a,
+		maxCost:  k,
+		reduced:  !opts.NoReduction,
+		table:    hashtab.NewSharded(max(opts.CapacityHint, 1<<10)),
+		levels:   make([][]perm.Perm, k+1),
 	}
-	table.Insert(uint64(perm.Identity), PackIdentity())
-	res.Levels[0] = []perm.Perm{perm.Identity}
+	b.table.Insert(uint64(perm.Identity), PackIdentity())
+	b.levels[0] = []perm.Perm{perm.Identity}
 
 	// Group element indices by cost so level c expands from level
 	// c − cost(e) for each group.
@@ -436,33 +360,56 @@ func Search(a *Alphabet, k int, opts *Options) (*Result, error) {
 	for c := 1; c <= k; c++ {
 		var lvl []perm.Perm
 		if workers == 1 {
-			lvl = expandLevel(res, costs, costGroups, c, opts.NoReduction)
+			lvl = b.expandLevel(costs, costGroups, c)
 		} else {
-			lvl = expandLevelParallel(res, costs, costGroups, c, opts.NoReduction, workers)
+			lvl = b.expandLevelParallel(costs, costGroups, c, workers)
 		}
-		res.Levels[c] = lvl
+		b.levels[c] = lvl
 		if opts.Progress != nil {
 			opts.Progress(c, len(lvl))
 		}
 	}
-	res.Table.Freeze()
-	return res, nil
+	return b, nil
+}
+
+// freeze re-lays the build state into a Result: hashtab.Compact turns
+// the sharded table into the flat frozen layout (a pure function of the
+// stored entries and the shard count), and the level lists collapse
+// into a slot index into it.
+func (b *builder) freeze() (*Result, error) {
+	ft, err := hashtab.Compact(b.table)
+	if err != nil {
+		return nil, err
+	}
+	counts := make([]int, len(b.levels))
+	idx := make([]uint32, 0, ft.Len())
+	for c, lvl := range b.levels {
+		counts[c] = len(lvl)
+		for _, rep := range lvl {
+			slot, ok := ft.SlotOf(uint64(rep))
+			if !ok {
+				return nil, fmt.Errorf("bfs: representative %v missing from its own table", rep)
+			}
+			idx = append(idx, slot)
+		}
+	}
+	return FromFrozen(b.alphabet, b.maxCost, b.reduced, ft, idx, counts, false)
 }
 
 // expandLevel computes cost level c sequentially, in the exact expansion
 // order of the original single-threaded implementation: the candidates
 // stream through a sink that inserts immediately, so the level list is
 // the first-insertion order.
-func expandLevel(res *Result, costs []int, costGroups map[int][]int, c int, noReduction bool) []perm.Perm {
-	s := &liveSeqSink{res: res}
+func (b *builder) expandLevel(costs []int, costGroups map[int][]int, c int) []perm.Perm {
+	s := &liveSeqSink{table: b.table}
 	for _, ec := range costs {
 		src := c - ec
 		if src < 0 {
 			continue
 		}
 		elemIdxs := costGroups[ec]
-		for _, r := range res.Levels[src] {
-			ExpandRep(res.Alphabet, r, elemIdxs, c, !noReduction, 0, s)
+		for _, r := range b.levels[src] {
+			ExpandRep(b.alphabet, r, elemIdxs, c, b.reduced, 0, s)
 		}
 	}
 	return s.lvl
@@ -472,12 +419,12 @@ func expandLevel(res *Result, costs []int, costGroups map[int][]int, c int, noRe
 // the sharded table, survivors appended in arrival order. Sequence
 // numbers are irrelevant here — arrival order IS the sequential order.
 type liveSeqSink struct {
-	res *Result
-	lvl []perm.Perm
+	table *hashtab.ShardedTable
+	lvl   []perm.Perm
 }
 
 func (s *liveSeqSink) Candidate(key uint64, val uint16, _ uint64) {
-	if _, inserted := s.res.Table.Insert(key, val); inserted {
+	if _, inserted := s.table.Insert(key, val); inserted {
 		s.lvl = append(s.lvl, perm.Perm(key))
 	}
 }
@@ -496,14 +443,14 @@ type expandChunk struct {
 // buffer. The buffers are concatenated in worker-index order at the
 // barrier. Races on duplicate candidates are resolved by the table
 // (exactly one insert wins), so the resulting set is schedule-invariant.
-func expandLevelParallel(res *Result, costs []int, costGroups map[int][]int, c int, noReduction bool, workers int) []perm.Perm {
+func (b *builder) expandLevelParallel(costs []int, costGroups map[int][]int, c int, workers int) []perm.Perm {
 	var chunks []expandChunk
 	for _, ec := range costs {
 		src := c - ec
 		if src < 0 {
 			continue
 		}
-		reps := res.Levels[src]
+		reps := b.levels[src]
 		if len(reps) == 0 {
 			continue
 		}
@@ -523,7 +470,7 @@ func expandLevelParallel(res *Result, costs []int, costGroups map[int][]int, c i
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			e := newExpander(res, c)
+			e := newExpander(b.table)
 			for {
 				j := int(cursor.Add(1)) - 1
 				if j >= len(chunks) {
@@ -531,7 +478,7 @@ func expandLevelParallel(res *Result, costs []int, costGroups map[int][]int, c i
 				}
 				ch := chunks[j]
 				for _, r := range ch.reps {
-					ExpandRep(res.Alphabet, r, ch.elemIdxs, c, !noReduction, 0, e)
+					ExpandRep(b.alphabet, r, ch.elemIdxs, c, b.reduced, 0, e)
 				}
 			}
 			e.flush()
@@ -556,24 +503,21 @@ func expandLevelParallel(res *Result, costs []int, costGroups map[int][]int, c i
 const insertBatchSize = 512
 
 // expander is one worker's private state: a pending insert batch and the
-// buffer of representatives this worker discovered first. cost is the
-// level being expanded, packed into every inserted value.
+// buffer of representatives this worker discovered first.
 type expander struct {
-	res  *Result
-	cost int
-	keys []uint64
-	vals []uint16
-	ins  []bool
-	out  []perm.Perm
+	table *hashtab.ShardedTable
+	keys  []uint64
+	vals  []uint16
+	ins   []bool
+	out   []perm.Perm
 }
 
-func newExpander(res *Result, cost int) *expander {
+func newExpander(table *hashtab.ShardedTable) *expander {
 	return &expander{
-		res:  res,
-		cost: cost,
-		keys: make([]uint64, 0, insertBatchSize),
-		vals: make([]uint16, 0, insertBatchSize),
-		ins:  make([]bool, insertBatchSize),
+		table: table,
+		keys:  make([]uint64, 0, insertBatchSize),
+		vals:  make([]uint16, 0, insertBatchSize),
+		ins:   make([]bool, insertBatchSize),
 	}
 }
 
@@ -601,7 +545,7 @@ func (e *expander) flush() {
 		return
 	}
 	ins := e.ins[:len(e.keys)]
-	e.res.Table.InsertBatch(e.keys, e.vals, ins)
+	e.table.InsertBatch(e.keys, e.vals, ins)
 	for i, ok := range ins {
 		if ok {
 			e.out = append(e.out, perm.Perm(e.keys[i]))
@@ -616,13 +560,13 @@ func (e *expander) flush() {
 // transport form of an entry — what table backends carry over the wire —
 // decodable with UnpackValue.
 func (r *Result) LookupRaw(key uint64) (uint16, bool) {
-	return r.rawLookup(key)
+	return r.Frozen.Lookup(key)
 }
 
 // Lookup decodes the table entry for a key that must already be in
 // canonical form when the search was reduced.
 func (r *Result) Lookup(key perm.Perm) (Value, bool) {
-	raw, ok := r.rawLookup(uint64(key))
+	raw, ok := r.Frozen.Lookup(uint64(key))
 	if !ok {
 		return Value{}, false
 	}
@@ -634,10 +578,10 @@ func (r *Result) Lookup(key perm.Perm) (Value, bool) {
 func (r *Result) Contains(f perm.Perm) bool {
 	if r.Reduced {
 		key := uint64(canon.Rep(f))
-		_, ok := r.rawLookup(key)
+		_, ok := r.Frozen.Lookup(key)
 		return ok
 	}
-	_, ok := r.rawLookup(uint64(f))
+	_, ok := r.Frozen.Lookup(uint64(f))
 	return ok
 }
 
@@ -652,7 +596,7 @@ func (r *Result) CostOf(f perm.Perm) (int, bool) {
 	if r.Reduced {
 		key = canon.Rep(f)
 	}
-	raw, ok := r.rawLookup(uint64(key))
+	raw, ok := r.Frozen.Lookup(uint64(key))
 	if !ok {
 		return 0, false
 	}
@@ -727,12 +671,7 @@ func (r *Result) FullCountWorkers(c, workers int) int64 {
 
 // TotalStored returns the number of hash-table entries (identity
 // included).
-func (r *Result) TotalStored() int {
-	if r.Frozen != nil {
-		return r.Frozen.Len()
-	}
-	return r.Table.Len()
-}
+func (r *Result) TotalStored() int { return r.Frozen.Len() }
 
 // GateReducedCounts lists the paper's Table 4 "Reduced Functions" column
 // for sizes 0…9: the number of equivalence classes of each size under

@@ -409,9 +409,9 @@ const ctxCheckStride = 256
 
 // scanLevel scans a representative list sequentially, in the original
 // implementation's order: first hit wins for unit costs, minimum residue
-// cost over the whole level otherwise. The LevelView indirection serves
-// both backends — in-heap level slices and the slot index of a
-// memory-mapped frozen table.
+// cost over the whole level otherwise. The LevelView reads the level
+// through the result's slot index, whether the frozen table lives on
+// the heap or in a memory-mapped store.
 func (s *Synthesizer) scanLevel(ctx context.Context, reps bfs.LevelView, f perm.Perm, unit bool) (levelHit, error) {
 	var lh levelHit
 	for n := 0; n < reps.Len(); n++ {

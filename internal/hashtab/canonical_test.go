@@ -149,12 +149,6 @@ func TestContainsBatchSorted(t *testing.T) {
 			t.Fatalf("key %#x: batch says %v, Contains says %v", k, present[i], st.Contains(k))
 		}
 	}
-	// Frozen path must agree too.
-	st.Freeze()
-	present2 := make([]bool, len(probe))
-	if got := st.ContainsBatchSorted(probe, present2); got != n {
-		t.Fatalf("frozen probe count = %d, want %d", got, n)
-	}
 	// An out-of-order batch must panic rather than silently mis-probe.
 	if len(probe) > 2 {
 		bad := []uint64{probe[len(probe)-1], probe[0]}

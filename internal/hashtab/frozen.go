@@ -197,8 +197,8 @@ func (s *shardEntrySort) Swap(a, b int) {
 // the fullest shard at or under the build-phase load factor) and places
 // each entry on its probe chain in the canonical (home slot, key) order,
 // so the resulting arrays depend only on the stored entries, never on
-// insertion history. This is the once-per-table cost the serving path
-// pays so that queries — and the persisted v2 format — get the
+// insertion history. This is the once-per-table cost a build pays at
+// its end so that queries — and the persisted v2 format — get the
 // two-array layout; afterwards the sharded table can be dropped.
 func Compact(t *ShardedTable) (*FrozenTable, error) {
 	maxCount, total := 0, 0

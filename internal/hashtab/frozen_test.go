@@ -22,7 +22,6 @@ func fillSharded(t testing.TB, n int, seed int64) (*ShardedTable, map[uint64]uin
 		want[k] = v
 		st.Insert(k, v)
 	}
-	st.Freeze()
 	return st, want
 }
 

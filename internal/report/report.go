@@ -134,7 +134,7 @@ func Table2(ks []int) (string, error) {
 		if err != nil {
 			return "", err
 		}
-		st := res.Table.ComputeStats()
+		st := res.TableStats()
 		paper := "-"
 		if p, ok := paperTable2[k]; ok {
 			paper = fmt.Sprintf("%.2f / %.2f / %d", p.load, p.avgChain, p.maxChain)

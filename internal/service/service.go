@@ -143,7 +143,7 @@ type Synthesizer struct {
 	loadErr error
 	loadDur time.Duration
 	// tableSource records where the tables came from: "injected",
-	// "built", or the store format ("v1", "v2", "v2+mmap").
+	// "built", or how the store loaded ("v2", "v2+mmap").
 	tableSource string
 
 	// sem is the bounded worker pool: a query holds one slot while it
@@ -327,13 +327,6 @@ func (s *Synthesizer) acquireTables() (*core.Synthesizer, error) {
 		Workers:  cfg.QueryWorkers,
 	})
 	if err != nil {
-		return nil, err
-	}
-	// Serving wants the compact frozen layout regardless of persistence:
-	// it drops the duplicate Levels copy (~40% fewer resident bytes per
-	// representative) and is the exact layout SaveFile writes, so the
-	// persist below reuses it instead of re-laying the table out.
-	if err := synth.Result().Compact(); err != nil {
 		return nil, err
 	}
 	s.tableSource = "built"
@@ -615,7 +608,7 @@ func (s *Synthesizer) Close(ctx context.Context) error {
 			// untouched.
 			<-s.ready
 			if s.cfg.Tables == nil && s.cfg.Backend == nil && s.synth != nil {
-				if res := s.synth.Result(); res != nil && res.Frozen != nil {
+				if res := s.synth.Result(); res != nil {
 					res.Frozen.Close()
 				}
 			}
@@ -645,9 +638,9 @@ type Stats struct {
 	// structures); for a memory-mapped store these bytes are file-backed
 	// and shared, not process heap, and zero when the tables live in a
 	// remote backend. TableFormat records the acquisition path:
-	// "injected", "built", the store format loaded ("v1", "v2",
-	// "v2+mmap" — the last being the zero-copy cold-start fast path), or
-	// the backend source ("tablenet(addr)", "router(n)").
+	// "injected", "built", how the store loaded ("v2", or "v2+mmap" for
+	// the zero-copy cold-start fast path), or the backend source
+	// ("tablenet(addr)", "router(n)").
 	TableBytes  int64  `json:"table_bytes"`
 	TableFormat string `json:"table_format,omitempty"`
 	// TableResidentBytes/TableResidentFraction report mincore-based page
@@ -752,11 +745,9 @@ func (s *Synthesizer) Stats() Stats {
 		st.TableFormat = s.tableSource
 		if res := s.synth.Result(); res != nil {
 			st.TableBytes = res.MemoryBytes()
-			if res.Frozen != nil {
-				if resident, mapped, ok := res.Frozen.Residency(); ok && mapped > 0 {
-					st.TableResidentBytes = resident
-					st.TableResidentFraction = float64(resident) / float64(mapped)
-				}
+			if resident, mapped, ok := res.Frozen.Residency(); ok && mapped > 0 {
+				st.TableResidentBytes = resident
+				st.TableResidentFraction = float64(resident) / float64(mapped)
 			}
 		}
 		if cs, ok := s.cfg.Backend.(tables.CacheStatser); ok {

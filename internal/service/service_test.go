@@ -1,9 +1,12 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/fnv"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -19,6 +22,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/gate"
 	"repro/internal/perm"
+	"repro/internal/tables"
+	"repro/internal/tablesio"
 )
 
 // The fixture table set is built once per test binary (k = 4: ≈7000
@@ -598,12 +603,43 @@ func TestServiceTablesPath(t *testing.T) {
 	}
 
 	// A corrupt table store must fail startup loudly, not rebuild.
-	if err := os.WriteFile(path, []byte("RVT1 garbage"), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte("RVT2 garbage"), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := New(Config{K: 2, TablesPath: path}); err == nil {
 		t.Fatal("corrupt table store silently accepted")
 	}
+
+	// So must a store in the retired v1 format — with the typed error,
+	// and without a rebuild over the operator's file.
+	v1 := v1Store()
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(Config{K: 2, TablesPath: path}); !errors.Is(err, tablesio.ErrUnsupportedVersion) {
+		t.Fatalf("v1 store: err = %v, want ErrUnsupportedVersion", err)
+	}
+	if after, err := os.ReadFile(path); err != nil || !bytes.Equal(after, v1) {
+		t.Fatalf("v1 store modified by the failed start (err %v)", err)
+	}
+}
+
+// v1Store encodes the k = 0 gate-alphabet table (the identity alone) in
+// the retired v1 entry-stream format: magic "RVT1" | flags | k |
+// alphabet fingerprint | level counts | (key, value) entries | FNV-64a
+// checksum of everything before it.
+func v1Store() []byte {
+	var buf bytes.Buffer
+	le := binary.LittleEndian
+	fp := tables.FingerprintOf(bfs.GateAlphabet())
+	buf.WriteString("RVT1")
+	for _, v := range []any{uint32(1), uint32(0), fp.Elements, fp.MaxCost, fp.XorPerms, fp.SumCosts, uint64(1), uint64(perm.Identity), uint16(0x7FFF)} {
+		binary.Write(&buf, le, v)
+	}
+	h := fnv.New64a()
+	h.Write(buf.Bytes())
+	binary.Write(&buf, le, h.Sum64())
+	return buf.Bytes()
 }
 
 // TestServiceTableAcquisitionStats pins the serving-observability

@@ -77,22 +77,27 @@ func TestLookupFlightsCoalesce(t *testing.T) {
 	var wg sync.WaitGroup
 	errs := make([]error, callers)
 	valss := make([][]uint16, callers)
-	var started sync.WaitGroup
-	started.Add(callers)
 	for w := 0; w < callers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			vals := make([]uint16, len(keys))
 			found := make([]bool, len(keys))
-			started.Done()
 			errs[w] = lf.do(context.Background(), keys, vals, found, fetch)
 			valss[w] = vals
 		}(w)
 	}
-	started.Wait()
-	// Let the in-flight fetch(es) finish; callers that arrived while one
-	// was open shared it.
+	// Hold the first fetch open until every other caller has joined it,
+	// then let it finish.
+	deadline := time.Now().Add(10 * time.Second)
+	for fetches.Load() < 1 || lf.coalesced.Load() < callers-1 {
+		if time.Now().After(deadline) {
+			release.Done()
+			wg.Wait()
+			t.Fatalf("callers never joined one flight: %d fetches, %d coalesced", fetches.Load(), lf.coalesced.Load())
+		}
+		time.Sleep(time.Millisecond)
+	}
 	release.Done()
 	wg.Wait()
 	for w := range errs {
@@ -105,11 +110,11 @@ func TestLookupFlightsCoalesce(t *testing.T) {
 			}
 		}
 	}
-	if f := fetches.Load(); f >= callers {
-		t.Fatalf("no coalescing: %d fetches for %d identical callers", f, callers)
+	if f := fetches.Load(); f != 1 {
+		t.Fatalf("%d fetches for %d identical callers, want 1", f, callers)
 	}
-	if lf.coalesced.Load() == 0 {
-		t.Fatal("coalesced counter did not move")
+	if c := lf.coalesced.Load(); c != callers-1 {
+		t.Fatalf("coalesced counter = %d, want %d", c, callers-1)
 	}
 	// Different batches never share a flight.
 	other := []uint64{10, 20, 31}

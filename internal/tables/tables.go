@@ -416,9 +416,6 @@ func (b *Local) LevelKeys(_ context.Context, c, lo int, out []uint64) error {
 // Residency reports the page-cache residency of the backing store when
 // the result is memory-mapped (ok is false otherwise).
 func (b *Local) Residency() (resident, mapped int64, ok bool) {
-	if b.res.Frozen == nil {
-		return 0, 0, false
-	}
 	return b.res.Frozen.Residency()
 }
 

@@ -1,14 +1,14 @@
 // Format v2: the zero-copy frozen-table layout.
 //
-// Version 1 persists a logical stream of (representative, value) entries
-// that every load must parse and re-insert into a fresh hash table — for
-// the paper's k = 9 tables that rehash is minutes of CPU before the
-// first query (§4.1 reports an 1111-second load). Version 2 instead
-// persists the probe-table layout itself: the flat little-endian
-// keys/vals slot arrays of a hashtab.FrozenTable, page-aligned, plus the
-// per-level slot index that replaces the Levels lists. A loader can
-// therefore validate a small header and memory-map the rest — cold start
-// becomes O(pages touched), the mapped table is shared between processes
+// A logical stream of (representative, value) entries would make every
+// load parse and re-insert them into a fresh hash table — for the
+// paper's k = 9 tables that rehash is minutes of CPU before the first
+// query (§4.1 reports an 1111-second load). Format v2 instead persists
+// the probe-table layout itself — exactly a bfs.Result's: the flat
+// little-endian keys/vals slot arrays of its hashtab.FrozenTable,
+// page-aligned, plus the per-level slot index. A loader can therefore
+// validate a small header and memory-map the rest — cold start becomes
+// O(pages touched), the mapped table is shared between processes
 // through the page cache, and nothing is stored twice.
 //
 //	page 0   magic "RVT2" | flags | k | alphabet fingerprint |
@@ -456,18 +456,14 @@ func SynthHorizon(a *bfs.Alphabet, k int) uint32 {
 	return uint32(h)
 }
 
-// SaveV2 serializes a BFS result in format v2. A frozen-backend result
-// (v2 load, Result.Compact) is written directly from its slot arrays; a
-// live result is compacted transiently first. The alphabet is identified
-// by fingerprint only, as in v1.
+// SaveV2 serializes a BFS result in format v2, straight from its frozen
+// slot arrays and level index. The alphabet is identified by fingerprint
+// only; pass the same alphabet to Load.
 func SaveV2(w io.Writer, res *bfs.Result) error {
 	if res == nil {
 		return fmt.Errorf("tablesio: nil result")
 	}
-	ft, levelIdx, counts, err := res.CompactView()
-	if err != nil {
-		return err
-	}
+	ft, levelIdx, counts := res.Layout()
 	keys, vals := ft.RawKeys(), ft.RawVals()
 	h := &headerV2{
 		maxCost:       uint32(res.MaxCost),
@@ -506,10 +502,7 @@ func SaveSplit(w io.Writer, res *bfs.Result, n, i int) error {
 	if i < 0 || i >= n {
 		return fmt.Errorf("tablesio: split index %d outside [0, %d)", i, n)
 	}
-	fullFT, _, counts, err := res.CompactView()
-	if err != nil {
-		return err
-	}
+	fullFT, _, counts := res.Layout()
 	lo, hi := tables.RangeOf(i, n)
 	var (
 		keys        []uint64
@@ -793,9 +786,9 @@ func loadV2Stream(br *bufio.Reader, alphabet *bfs.Alphabet, opts *LoadOptions, m
 	return assembleV2(h, alphabet, keys, vals, idx, gpos, opts, true)
 }
 
-// assembleV2 builds the frozen-backend Result from parsed sections; for
-// a split store it additionally assembles (and validates) the split
-// metadata binding the local entries to the global level order.
+// assembleV2 builds the Result from parsed sections; for a split store
+// it additionally assembles (and validates) the split metadata binding
+// the local entries to the global level order.
 func assembleV2(h *headerV2, alphabet *bfs.Alphabet, keys []uint64, vals []uint16, idx, gpos []uint32, opts *LoadOptions, verify bool) (*bfs.Result, *tables.Split, error) {
 	var (
 		ft  *hashtab.FrozenTable

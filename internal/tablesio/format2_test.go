@@ -29,6 +29,23 @@ func savedV2(t testing.TB, k int) (*bfs.Result, []byte) {
 	return res, buf.Bytes()
 }
 
+// resealV2 applies mutate to a copy of a full v2 store and recomputes
+// the header fingerprint, so a forged field reaches the loader's
+// geometry checks instead of dying at the header hash. The loader
+// refuses to size a header for an absurd horizon, so there the
+// fingerprint position is unknowable and stays stale — the horizon check
+// fires first.
+func resealV2(blob []byte, mutate func(b []byte)) []byte {
+	b := append([]byte(nil), blob...)
+	mutate(b)
+	maxCost := binary.LittleEndian.Uint32(b[8:])
+	n := headerFixedLen + (int(maxCost)+1)*8 + 8
+	if maxCost <= uint32(bfs.MaxPackedCost) && n <= len(b) {
+		binary.LittleEndian.PutUint64(b[n-8:], hashBytesV2(b[:n-8]))
+	}
+	return b
+}
+
 func writeTemp(t testing.TB, blob []byte) string {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "tables.bin")
@@ -72,8 +89,8 @@ func TestV2RoundTripStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if back.Frozen == nil || back.Table != nil {
-		t.Fatal("v2 load did not produce a frozen-backend result")
+	if back.Frozen == nil {
+		t.Fatal("v2 load produced no table")
 	}
 	checkSameTables(t, orig, back)
 }
@@ -121,49 +138,17 @@ func TestV2RoundTripFile(t *testing.T) {
 	if sinfo.MemoryMapped {
 		t.Fatal("DisableMmap still memory-mapped")
 	}
-}
-
-// TestCrossVersionRoundTrip drives one table set through every format
-// conversion: v1 → load → v2 → load (frozen) → v1 again. The final v1
-// stream must be byte-identical to the first — the v2 slot index
-// preserves level storage order, so nothing is lost or reordered across
-// versions.
-func TestCrossVersionRoundTrip(t *testing.T) {
-	res, err := bfs.Search(bfs.GateAlphabet(), 4, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var v1a bytes.Buffer
-	if err := Save(&v1a, res); err != nil {
-		t.Fatal(err)
-	}
-	fromV1, err := Load(bytes.NewReader(v1a.Bytes()), bfs.GateAlphabet())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var v2 bytes.Buffer
-	if err := SaveV2(&v2, fromV1); err != nil {
-		t.Fatal(err)
-	}
-	fromV2, err := Load(bytes.NewReader(v2.Bytes()), bfs.GateAlphabet())
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkSameTables(t, res, fromV2)
-	var v1b bytes.Buffer
-	if err := Save(&v1b, fromV2); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(v1a.Bytes(), v1b.Bytes()) {
-		t.Fatal("v1 → v2 → v1 round trip is not byte-identical")
+	// The open error stays unwrapped: "no store yet" is distinguishable.
+	if _, _, err := LoadFile(filepath.Join(t.TempDir(), "missing.tables"), bfs.GateAlphabet(), nil); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("missing file: err = %v, want os.ErrNotExist", err)
 	}
 }
 
-// TestFrozenMatchesLive is the serving-equivalence guarantee: synthesis
+// TestMappedMatchesBuilt is the serving-equivalence guarantee: synthesis
 // against memory-mapped v2 tables is identical — circuit for circuit —
-// to synthesis against the live-built tables, across direct lookups,
-// meet-in-the-middle splits, and beyond-horizon failures.
-func TestFrozenMatchesLive(t *testing.T) {
+// to synthesis against the tables Search built in memory, across direct
+// lookups, meet-in-the-middle splits, and beyond-horizon failures.
+func TestMappedMatchesBuilt(t *testing.T) {
 	res, err := bfs.Search(bfs.GateAlphabet(), 4, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -172,24 +157,24 @@ func TestFrozenMatchesLive(t *testing.T) {
 	if err := SaveFile(path, res); err != nil {
 		t.Fatal(err)
 	}
-	frozenRes, info, err := LoadFile(path, bfs.GateAlphabet(), nil)
+	mappedRes, info, err := LoadFile(path, bfs.GateAlphabet(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer frozenRes.Frozen.Close()
+	defer mappedRes.Frozen.Close()
 	if mmapSupported && hostLittleEndian && !info.MemoryMapped {
 		t.Fatal("expected the mmap fast path")
 	}
-	live, err := core.FromResult(res, 0)
+	built, err := core.FromResult(res, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	frozen, err := core.FromResult(frozenRes, 0)
+	mapped, err := core.FromResult(mappedRes, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	live.SetWorkers(1)
-	frozen.SetWorkers(1)
+	built.SetWorkers(1)
+	mapped.SetWorkers(1)
 
 	// ≥ 100 specs spanning the whole difficulty range: sizes 0…8 via
 	// random circuits plus uniformly random permutations (mostly beyond
@@ -201,8 +186,8 @@ func TestFrozenMatchesLive(t *testing.T) {
 	}
 	specs = append(specs, randperm.New(20100601).Sample(32)...)
 	for i, f := range specs {
-		cl, el := live.Synthesize(f)
-		cf, ef := frozen.Synthesize(f)
+		cl, el := built.Synthesize(f)
+		cf, ef := mapped.Synthesize(f)
 		if (el == nil) != (ef == nil) {
 			t.Fatalf("spec %d (%v): error divergence %v vs %v", i, f, el, ef)
 		}
@@ -213,10 +198,10 @@ func TestFrozenMatchesLive(t *testing.T) {
 			continue
 		}
 		if cl.String() != cf.String() {
-			t.Fatalf("spec %d (%v): live %v vs frozen %v", i, f, cl, cf)
+			t.Fatalf("spec %d (%v): built %v vs mapped %v", i, f, cl, cf)
 		}
 		if cf.Perm() != f {
-			t.Fatalf("spec %d: frozen circuit computes the wrong function", i)
+			t.Fatalf("spec %d: mapped circuit computes the wrong function", i)
 		}
 	}
 }
@@ -266,22 +251,7 @@ func TestV2BitFlips(t *testing.T) {
 func TestV2ForgedGeometry(t *testing.T) {
 	_, blob := savedV2(t, 2)
 	le := binary.LittleEndian
-	// reseal recomputes the header fingerprint after a mutation so the
-	// forgery reaches the geometry checks instead of dying at the hash.
-	reseal := func(mutate func(b []byte)) []byte {
-		b := append([]byte(nil), blob...)
-		mutate(b)
-		maxCost := le.Uint32(b[8:])
-		if maxCost > uint32(bfs.MaxPackedCost) {
-			// The loader refuses to size a header for absurd horizons, so
-			// the fingerprint position is unknowable; leave it stale — the
-			// horizon check fires first.
-			return b
-		}
-		n := headerFixedLen + (int(maxCost)+1)*8 + 8
-		le.PutUint64(b[n-8:], hashBytesV2(b[:n-8]))
-		return b
-	}
+	reseal := func(mutate func(b []byte)) []byte { return resealV2(blob, mutate) }
 	cases := map[string][]byte{
 		"shardCount3":    reseal(func(b []byte) { le.PutUint32(b[36:], 3) }),
 		"shardCountHuge": reseal(func(b []byte) { le.PutUint32(b[36:], 1<<20) }),
@@ -366,33 +336,11 @@ func TestV2ContentCorruptionPolicy(t *testing.T) {
 	}
 }
 
-func TestLoadFileV1Fallback(t *testing.T) {
-	res, err := bfs.Search(bfs.GateAlphabet(), 3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var v1 bytes.Buffer
-	if err := Save(&v1, res); err != nil {
-		t.Fatal(err)
-	}
-	path := writeTemp(t, v1.Bytes())
-	back, info, err := LoadFile(path, bfs.GateAlphabet(), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if info.Version != 1 || info.MemoryMapped {
-		t.Fatalf("v1 file reported %+v", info)
-	}
-	checkSameTables(t, res, back)
-	if _, _, err := LoadFile(filepath.Join(t.TempDir(), "missing.tables"), bfs.GateAlphabet(), nil); !errors.Is(err, os.ErrNotExist) {
-		t.Fatalf("missing file: err = %v, want os.ErrNotExist", err)
-	}
-}
-
 // BenchmarkColdStart measures the acceptance metric of the zero-copy
 // format: time from "store on disk" to "servable tables" for the same
-// k = 6 table set, v1 parse-and-rehash versus v2 mmap, with the heap
-// the load leaves behind (runtime.MemStats) reported per representative.
+// k = 6 table set, the verifying stream load versus the mmap, with the
+// heap the load leaves behind (runtime.MemStats) reported per
+// representative.
 // REVSYNTH_COLDSTART_K overrides the depth (CI smoke uses 5).
 func BenchmarkColdStart(b *testing.B) {
 	k := 6
@@ -406,19 +354,7 @@ func BenchmarkColdStart(b *testing.B) {
 		b.Fatal(err)
 	}
 	entries := float64(res.TotalStored())
-	dir := b.TempDir()
-	v1Path := filepath.Join(dir, "v1.tables")
-	v2Path := filepath.Join(dir, "v2.tables")
-	f, err := os.Create(v1Path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := Save(f, res); err != nil {
-		b.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		b.Fatal(err)
-	}
+	v2Path := filepath.Join(b.TempDir(), "v2.tables")
 	if err := SaveFile(v2Path, res); err != nil {
 		b.Fatal(err)
 	}
@@ -447,13 +383,10 @@ func BenchmarkColdStart(b *testing.B) {
 			heapPerRep = float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / entries
 			b.ReportMetric(heapPerRep, "heapB/rep")
 			b.ReportMetric(float64(loaded.MemoryBytes())/entries, "tableB/rep")
-			if loaded.Frozen != nil {
-				loaded.Frozen.Close()
-			}
+			loaded.Frozen.Close()
 		}
 		_ = heapPerRep
 	}
-	b.Run("v1-parse-rehash", func(b *testing.B) { load(b, v1Path, nil, false) })
 	b.Run("v2-mmap", func(b *testing.B) { load(b, v2Path, nil, true) })
 	b.Run("v2-stream-verify", func(b *testing.B) { load(b, v2Path, &LoadOptions{DisableMmap: true}, false) })
 }

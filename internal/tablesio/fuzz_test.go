@@ -16,7 +16,7 @@ import (
 // total: corrupted magic, truncated streams, bit-flipped checksums,
 // forged headers and wrong-alphabet fingerprints must all come back as
 // errors — never a panic, and never an allocation proportional to a
-// lying header field (the MaxEntries cap plus chunked level allocation
+// lying header field (the MaxEntries cap plus chunked section allocation
 // bound memory by the actual stream length).
 func FuzzLoad(f *testing.F) {
 	res, err := bfs.Search(bfs.GateAlphabet(), 2, nil)
@@ -24,82 +24,54 @@ func FuzzLoad(f *testing.F) {
 		f.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := Save(&buf, res); err != nil {
+	if err := SaveV2(&buf, res); err != nil {
 		f.Fatal(err)
 	}
 	blob := buf.Bytes()
-
-	f.Add(blob)               // the valid stream
-	f.Add(blob[:len(blob)/2]) // truncated mid-entries
-	f.Add(blob[:7])           // truncated mid-header
-	f.Add([]byte{})           // empty
-
+	le := binary.LittleEndian
 	corrupt := func(pos int, bit uint) []byte {
 		c := append([]byte(nil), blob...)
 		c[pos] ^= 1 << bit
 		return c
 	}
-	f.Add(corrupt(0, 3))           // magic
-	f.Add(corrupt(3, 0))           // version byte
-	f.Add(corrupt(12, 5))          // fingerprint
-	f.Add(corrupt(len(blob)-1, 7)) // checksum
+	reseal := func(mutate func(b []byte)) []byte { return resealV2(blob, mutate) }
 
-	// A forged header declaring a huge level: magic+flags+maxCost, a
-	// fingerprint that matches the gate alphabet, then an absurd count
-	// with no entries behind it.
-	forged := append([]byte(nil), blob[:32]...)
-	var huge [8]byte
-	binary.LittleEndian.PutUint64(huge[:], 1<<40)
-	forged = append(forged, huge[:]...)
-	f.Add(forged)
+	// The retired v1 format and damage to the stream as a whole.
+	f.Add(v1Stream(res))                    // a v1 store: refused by the version gate
+	f.Add(blob[:len(blob)/2])               // truncated mid-sections
+	f.Add(blob[:7])                         // truncated mid-magic/flags
+	f.Add([]byte{})                         // empty
+	f.Add(corrupt(0, 3))                    // magic
+	f.Add(corrupt(12, 5))                   // alphabet fingerprint
+	f.Add(corrupt(headerFixedLen+3*8+7, 7)) // header fingerprint
+	f.Add(corrupt(pageAlign+17, 1))         // key section content
+	// Forged level counts behind a valid header fingerprint: an absurd
+	// level with no entries behind it, and sizes whose sum wraps uint64
+	// back under the cap (the negative-allocation panic regression).
+	f.Add(reseal(func(b []byte) { le.PutUint64(b[headerFixedLen:], 1<<40) }))
+	f.Add(reseal(func(b []byte) { le.PutUint64(b[headerFixedLen+8:], ^uint64(0)) }))
 
-	// Level sizes whose sum wraps uint64 back under the cap (the
-	// negative-allocation panic regression).
-	wrap := append([]byte(nil), blob...)
-	binary.LittleEndian.PutUint64(wrap[44:52], ^uint64(0))
-	f.Add(wrap)
-
-	// Format v2 corpus: the valid zero-copy stream plus the hostile
-	// variants its loader must survive — truncated headers, truncated
-	// slot arrays, flipped section bytes, and forged geometry (shard
-	// counts, slot sizes, offsets) that must fail cleanly instead of
-	// OOMing or overflowing the layout arithmetic.
-	var buf2 bytes.Buffer
-	if err := SaveV2(&buf2, res); err != nil {
-		f.Fatal(err)
-	}
-	blob2 := buf2.Bytes()
-	f.Add(blob2)
-	f.Add(blob2[:40])               // truncated fixed header
-	f.Add(blob2[:headerFixedLen+4]) // truncated level counts
-	f.Add(blob2[:pageAlign+11])     // truncated key section
-	f.Add(blob2[:len(blob2)-1])     // truncated index padding
-	corrupt2 := func(pos int, bit uint) []byte {
-		c := append([]byte(nil), blob2...)
-		c[pos] ^= 1 << bit
-		return c
-	}
-	f.Add(corrupt2(3, 0))            // version byte
-	f.Add(corrupt2(8, 1))            // maxCost
-	f.Add(corrupt2(36, 0))           // shard count
-	f.Add(corrupt2(44, 7))           // slots per shard
-	f.Add(corrupt2(60, 3))           // keys offset
-	f.Add(corrupt2(pageAlign, 5))    // key section content
-	f.Add(corrupt2(len(blob2)-5, 2)) // index section content
-	reseal := func(mutate func(b []byte)) []byte {
-		b := append([]byte(nil), blob2...)
-		mutate(b)
-		maxCost := binary.LittleEndian.Uint32(b[8:])
-		n := headerFixedLen + (int(maxCost)+1)*8 + 8
-		if n+8 <= len(b) {
-			binary.LittleEndian.PutUint64(b[n-8:], hashBytesV2(b[:n-8]))
-		}
-		return b
-	}
-	f.Add(reseal(func(b []byte) { binary.LittleEndian.PutUint32(b[36:], 3) }))          // non-pow2 shards
-	f.Add(reseal(func(b []byte) { binary.LittleEndian.PutUint64(b[44:], 1<<40) }))      // absurd slots
-	f.Add(reseal(func(b []byte) { binary.LittleEndian.PutUint64(b[52:], 1<<50) }))      // absurd entries
-	f.Add(reseal(func(b []byte) { binary.LittleEndian.PutUint64(b[84:], ^uint64(0)) })) // lying file size
+	// The valid zero-copy stream plus the hostile variants its loader
+	// must survive — truncated headers, truncated slot arrays, flipped
+	// section bytes, and forged geometry (shard counts, slot sizes,
+	// offsets) that must fail cleanly instead of OOMing or overflowing
+	// the layout arithmetic.
+	f.Add(blob)
+	f.Add(blob[:40])                                                   // truncated fixed header
+	f.Add(blob[:headerFixedLen+4])                                     // truncated level counts
+	f.Add(blob[:pageAlign+11])                                         // truncated key section
+	f.Add(blob[:len(blob)-1])                                          // truncated index padding
+	f.Add(corrupt(3, 0))                                               // version byte
+	f.Add(corrupt(8, 1))                                               // maxCost
+	f.Add(corrupt(36, 0))                                              // shard count
+	f.Add(corrupt(44, 7))                                              // slots per shard
+	f.Add(corrupt(60, 3))                                              // keys offset
+	f.Add(corrupt(pageAlign, 5))                                       // key section content
+	f.Add(corrupt(len(blob)-5, 2))                                     // index section content
+	f.Add(reseal(func(b []byte) { le.PutUint32(b[36:], 3) }))          // non-pow2 shards
+	f.Add(reseal(func(b []byte) { le.PutUint64(b[44:], 1<<40) }))      // absurd slots
+	f.Add(reseal(func(b []byte) { le.PutUint64(b[52:], 1<<50) }))      // absurd entries
+	f.Add(reseal(func(b []byte) { le.PutUint64(b[84:], ^uint64(0)) })) // lying file size
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// A tight entry cap keeps even "plausible" fuzzed headers from
@@ -110,12 +82,9 @@ func FuzzLoad(f *testing.F) {
 			return
 		}
 		// Accepted streams must be internally consistent: every level
-		// entry present in the table, whichever backend carries it.
-		if res == nil {
-			t.Fatal("accepted stream produced nil result")
-		}
-		if res.Frozen == nil && !res.Table.Frozen() {
-			t.Fatal("accepted stream produced unusable result")
+		// entry present in the table.
+		if res == nil || res.Frozen == nil {
+			t.Fatal("accepted stream produced no table")
 		}
 		n := 0
 		for c := 0; c <= res.MaxCost; c++ {

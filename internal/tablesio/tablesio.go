@@ -5,18 +5,13 @@
 // querying — their CS1 runs spend 1111 seconds loading the tables from
 // disk (§4.1), and §5 estimates a 5-minute load on commodity hardware.
 //
-// Two formats are supported. Format v1 is the original little-endian
-// entry stream, which every load must parse and rehash:
-//
-//	magic "RVT1" | flags | k | alphabet fingerprint |
-//	per-level counts | representative words | per-representative values |
-//	FNV-64a checksum of everything above
-//
-// Format v2 (see format2.go) persists the frozen probe-table layout
-// itself, so a load is a header check plus a memory map: cold start in
-// milliseconds where a v1 parse-and-rehash takes seconds to minutes.
-// SaveFile writes v2; Save keeps writing v1 for compatibility with older
-// binaries; Load reads both; LoadFile adds the v2 mmap fast path.
+// The store format, v2 (see format2.go), persists the frozen probe-table
+// layout of a bfs.Result itself, so a load is a header check plus a
+// memory map: cold start in milliseconds, where parsing and rehashing an
+// entry stream takes seconds to minutes. SaveV2 and SaveFile write it;
+// Load and LoadWithOptions stream and fully verify it; LoadFile adds the
+// mmap fast path. A file of any other version — the retired v1 entry
+// stream ("RVT1") included — is rejected with ErrUnsupportedVersion.
 //
 // The alphabet itself is NOT serialized — it is reconstructable code —
 // but a fingerprint (element count, max cost, XOR/sum of element words)
@@ -26,18 +21,13 @@ package tablesio
 
 import (
 	"bufio"
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash"
-	"hash/fnv"
 	"io"
 	"os"
 	"path/filepath"
 
 	"repro/internal/bfs"
-	"repro/internal/hashtab"
-	"repro/internal/perm"
 	"repro/internal/tables"
 )
 
@@ -48,14 +38,9 @@ var (
 	magicPrefix = [3]byte{'R', 'V', 'T'}
 )
 
-const (
-	// version1 is the legacy entry-stream format.
-	version1 = byte('1')
-	// version2 is the zero-copy frozen-table format (format2.go).
-	version2 = byte('2')
-)
-
-var magicV1 = [4]byte{magicPrefix[0], magicPrefix[1], magicPrefix[2], version1}
+// version2 is the zero-copy frozen-table format (format2.go), the only
+// version this build reads or writes.
+const version2 = byte('2')
 
 const (
 	flagReduced = 1 << 0
@@ -73,8 +58,9 @@ const (
 var (
 	// ErrBadMagic reports a stream that is not a tables file at all.
 	ErrBadMagic = errors.New("tablesio: not a tables file")
-	// ErrUnsupportedVersion reports a tables file written by a different
-	// (usually newer) format version of this package.
+	// ErrUnsupportedVersion reports a tables file written in a format
+	// version other than v2: a newer one, or the retired v1 entry
+	// stream. Rebuild such a store with revtables -save.
 	ErrUnsupportedVersion = errors.New("tablesio: unsupported format version")
 	// ErrAlphabetMismatch reports tables saved against a different
 	// alphabet than the one supplied to Load.
@@ -98,95 +84,6 @@ var (
 type fingerprint = tables.Fingerprint
 
 func fingerprintOf(a *bfs.Alphabet) fingerprint { return tables.FingerprintOf(a) }
-
-// countingWriter tees writes into a running checksum.
-type checksumWriter struct {
-	w io.Writer
-	h hash.Hash64
-}
-
-func (cw *checksumWriter) Write(p []byte) (int, error) {
-	cw.h.Write(p)
-	return cw.w.Write(p)
-}
-
-// Legacy (v1) on-disk value packing: bit 15 flags a first element, the
-// low 15 bits hold the element index, all ones marking the identity.
-// Files written before the cost-packed in-memory values keep loading,
-// and files written by Save keep opening under older binaries; the cost
-// field is reconstructed from the entry's level on load.
-const (
-	legacyFlagFirst uint16 = 1 << 15
-	legacyElemMask  uint16 = 0x7FFF
-	legacyIdentity  uint16 = legacyElemMask
-)
-
-func legacyEncode(v bfs.Value) uint16 {
-	if v.IsIdentity {
-		return legacyIdentity
-	}
-	raw := uint16(v.Elem) & legacyElemMask
-	if v.First {
-		raw |= legacyFlagFirst
-	}
-	return raw
-}
-
-// Save serializes a BFS result in format v1, the compatibility format
-// older binaries can read. The alphabet is identified by fingerprint
-// only; pass the same alphabet to Load. New stores should prefer SaveV2
-// / SaveFile, whose layout loads without parsing or rehashing.
-func Save(w io.Writer, res *bfs.Result) error {
-	if res == nil {
-		return fmt.Errorf("tablesio: nil result")
-	}
-	bw := bufio.NewWriterSize(w, 1<<20)
-	cw := &checksumWriter{w: bw, h: fnv.New64a()}
-	if _, err := cw.Write(magicV1[:]); err != nil {
-		return err
-	}
-	var flags uint32
-	if res.Reduced {
-		flags |= flagReduced
-	}
-	fp := fingerprintOf(res.Alphabet)
-	for _, v := range []interface{}{
-		flags, uint32(res.MaxCost),
-		fp.Elements, fp.MaxCost, fp.XorPerms, fp.SumCosts,
-	} {
-		if err := binary.Write(cw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	// Level sizes, then representatives level by level, then their table
-	// values in the same order. Writing values alongside keys lets Load
-	// rebuild the open-addressing table at the ideal size.
-	for c := 0; c <= res.MaxCost; c++ {
-		if err := binary.Write(cw, binary.LittleEndian, uint64(res.LevelLen(c))); err != nil {
-			return err
-		}
-	}
-	buf := make([]byte, 10)
-	for c := 0; c <= res.MaxCost; c++ {
-		lvl := res.Level(c)
-		for i := 0; i < lvl.Len(); i++ {
-			rep := lvl.At(i)
-			v, ok := res.Lookup(rep)
-			if !ok {
-				return fmt.Errorf("tablesio: representative %v missing from its own table", rep)
-			}
-			binary.LittleEndian.PutUint64(buf[0:8], uint64(rep))
-			binary.LittleEndian.PutUint16(buf[8:10], legacyEncode(v))
-			if _, err := cw.Write(buf); err != nil {
-				return err
-			}
-		}
-	}
-	if err := binary.Write(bw, binary.LittleEndian, cw.h.Sum64()); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
 
 // SaveFile persists a BFS result to path atomically in format v2 (the
 // zero-copy layout LoadFile memory-maps): the stream is written to a
@@ -238,18 +135,6 @@ func SaveSplitFile(path string, res *bfs.Result, n, i int) error {
 	return os.Rename(tmp.Name(), path)
 }
 
-// checksumReader tees reads into a running checksum.
-type checksumReader struct {
-	r io.Reader
-	h hash.Hash64
-}
-
-func (cr *checksumReader) Read(p []byte) (int, error) {
-	n, err := cr.r.Read(p)
-	cr.h.Write(p[:n])
-	return n, err
-}
-
 // LoadOptions tune LoadWithOptions and LoadFile; the zero value (and a
 // nil pointer) reproduces Load's defaults.
 type LoadOptions struct {
@@ -281,25 +166,40 @@ type LoadOptions struct {
 // slightly above the paper's k = 9 table (≈2.2 × 10⁹ classes, §4.1).
 const DefaultMaxEntries = 1 << 33
 
-// levelAllocChunk caps the per-level slice pre-allocation. Level sizes
-// are attacker-controlled header fields verified only implicitly (by the
-// stream ending early), so allocation grows in bounded chunks as entries
-// actually arrive rather than trusting the declared size up front.
-const levelAllocChunk = 1 << 20
+// maxEntries resolves the MaxEntries cap (zero: DefaultMaxEntries).
+func (o *LoadOptions) maxEntries() int64 {
+	if o.MaxEntries <= 0 {
+		return DefaultMaxEntries
+	}
+	return o.MaxEntries
+}
 
-// Load rehydrates a BFS result saved by Save or SaveV2 (the format is
-// sniffed from the version byte). The alphabet must be the same
-// construction that produced the saved tables; a fingerprint mismatch,
-// version mismatch, truncation, or corruption is reported as an error
-// (wrapping the package's sentinel errors), never a panic.
+// checkMagic classifies a store's first four bytes, which m holds:
+// ErrBadMagic for a file that is not a tables file at all,
+// ErrUnsupportedVersion for a tables file of any version but v2.
+func checkMagic(m []byte) error {
+	if [3]byte{m[0], m[1], m[2]} != magicPrefix {
+		return fmt.Errorf("%w: bad magic %q", ErrBadMagic, m)
+	}
+	if m[3] != version2 {
+		return fmt.Errorf("%w: file version %q, this build reads only %q", ErrUnsupportedVersion, m[3], version2)
+	}
+	return nil
+}
+
+// Load rehydrates a BFS result saved by SaveV2 or SaveFile. The alphabet
+// must be the same construction that produced the saved tables; a
+// fingerprint mismatch, version mismatch, truncation, or corruption is
+// reported as an error (wrapping the package's sentinel errors), never a
+// panic.
 func Load(r io.Reader, alphabet *bfs.Alphabet) (*bfs.Result, error) {
 	return LoadWithOptions(r, alphabet, nil)
 }
 
 // LoadWithOptions is Load with streaming progress reporting and resource
-// caps. Both formats verify their integrity in full on this path — it is
+// caps. The store's integrity is verified in full on this path — it is
 // the one for untrusted bytes; LoadFile adds the trusting mmap fast
-// path. The result is frozen and immediately servable.
+// path. The result is immediately servable.
 func LoadWithOptions(r io.Reader, alphabet *bfs.Alphabet, opts *LoadOptions) (*bfs.Result, error) {
 	if alphabet == nil {
 		return nil, fmt.Errorf("tablesio: nil alphabet")
@@ -307,134 +207,20 @@ func LoadWithOptions(r io.Reader, alphabet *bfs.Alphabet, opts *LoadOptions) (*b
 	if opts == nil {
 		opts = &LoadOptions{}
 	}
-	maxEntries := opts.MaxEntries
-	if maxEntries <= 0 {
-		maxEntries = DefaultMaxEntries
-	}
 	br := bufio.NewReaderSize(r, 1<<20)
 	m, err := br.Peek(4)
 	if err != nil {
 		return nil, fmt.Errorf("%w: reading magic: %w", ErrBadMagic, err)
 	}
-	if [3]byte{m[0], m[1], m[2]} != magicPrefix {
-		return nil, fmt.Errorf("%w: bad magic %q", ErrBadMagic, m)
+	if err := checkMagic(m); err != nil {
+		return nil, err
 	}
-	switch m[3] {
-	case version1:
-		return loadV1Stream(br, alphabet, opts, maxEntries)
-	case version2:
-		// The reader path has no way to hand back split metadata, so it
-		// loads full stores only: loadV2Stream rejects split stores
-		// unless AllowSplit, and the metadata (if allowed) is dropped —
-		// callers that need it use LoadFile.
-		if opts.AllowSplit {
-			return nil, fmt.Errorf("tablesio: AllowSplit requires LoadFile (the reader path cannot return split metadata)")
-		}
-		res, _, err := loadV2Stream(br, alphabet, opts, maxEntries)
-		return res, err
-	default:
-		return nil, fmt.Errorf("%w: file version %q, this build reads %q and %q", ErrUnsupportedVersion, m[3], version1, version2)
+	// The reader path has no way to hand back split metadata, so it loads
+	// full stores only: loadV2Stream rejects split stores unless
+	// AllowSplit, and callers that need the metadata use LoadFile.
+	if opts.AllowSplit {
+		return nil, fmt.Errorf("tablesio: AllowSplit requires LoadFile (the reader path cannot return split metadata)")
 	}
-}
-
-// loadV1Stream parses the legacy entry-stream format, rebuilding the
-// sharded hash table entry by entry (the rehash cost v2 exists to
-// avoid).
-func loadV1Stream(br *bufio.Reader, alphabet *bfs.Alphabet, opts *LoadOptions, maxEntries int64) (*bfs.Result, error) {
-	cr := &checksumReader{r: br, h: fnv.New64a()}
-	var m [4]byte
-	if _, err := io.ReadFull(cr, m[:]); err != nil {
-		return nil, fmt.Errorf("%w: reading magic: %w", ErrBadMagic, err)
-	}
-	var flags, maxCost uint32
-	var fp fingerprint
-	for _, v := range []interface{}{
-		&flags, &maxCost,
-		&fp.Elements, &fp.MaxCost, &fp.XorPerms, &fp.SumCosts,
-	} {
-		if err := binary.Read(cr, binary.LittleEndian, v); err != nil {
-			return nil, fmt.Errorf("%w: reading header: %w", ErrCorrupt, err)
-		}
-	}
-	if want := fingerprintOf(alphabet); fp != want {
-		return nil, fmt.Errorf("%w (file %+v, given %+v)", ErrAlphabetMismatch, fp, want)
-	}
-	if maxCost > uint32(bfs.MaxPackedCost) {
-		return nil, fmt.Errorf("%w: implausible horizon %d", ErrCorrupt, maxCost)
-	}
-	levelSizes := make([]uint64, maxCost+1)
-	var total uint64
-	for c := range levelSizes {
-		if err := binary.Read(cr, binary.LittleEndian, &levelSizes[c]); err != nil {
-			return nil, fmt.Errorf("%w: reading level sizes: %w", ErrCorrupt, err)
-		}
-		// Capping each level before summing keeps the running total well
-		// below the uint64 wrap point (≤ 65 levels × maxEntries), so a
-		// forged size cannot overflow past the cumulative check below.
-		if levelSizes[c] > uint64(maxEntries) {
-			return nil, fmt.Errorf("%w: level %d declares %d entries, cap %d", ErrCorrupt, c, levelSizes[c], maxEntries)
-		}
-		total += levelSizes[c]
-		if total > uint64(maxEntries) {
-			return nil, fmt.Errorf("%w: declared entry count exceeds cap %d", ErrCorrupt, maxEntries)
-		}
-	}
-	res := &bfs.Result{
-		Alphabet: alphabet,
-		MaxCost:  int(maxCost),
-		Levels:   make([][]perm.Perm, maxCost+1),
-		Table:    hashtab.NewSharded(int(min(total, levelAllocChunk))),
-		Reduced:  flags&flagReduced != 0,
-	}
-	buf := make([]byte, 10)
-	for c := 0; c <= int(maxCost); c++ {
-		n := int(levelSizes[c])
-		lvl := make([]perm.Perm, 0, min(n, levelAllocChunk))
-		for i := 0; i < n; i++ {
-			if _, err := io.ReadFull(cr, buf); err != nil {
-				return nil, fmt.Errorf("%w: reading entries (level %d): %w", ErrCorrupt, c, err)
-			}
-			key := binary.LittleEndian.Uint64(buf[0:8])
-			raw := binary.LittleEndian.Uint16(buf[8:10])
-			p := perm.Perm(key)
-			if !p.IsValid() {
-				return nil, fmt.Errorf("%w: invalid entry %#x at level %d", ErrCorrupt, key, c)
-			}
-			// Translate the legacy value into the cost-packed in-memory
-			// form; the level index IS the entry's exact cost.
-			var val uint16
-			if raw&legacyElemMask == legacyIdentity {
-				if c != 0 || p != perm.Identity {
-					return nil, fmt.Errorf("%w: identity value on non-identity entry %v at level %d", ErrCorrupt, p, c)
-				}
-				val = bfs.PackIdentity()
-			} else {
-				elem := int(raw & legacyElemMask)
-				if elem >= alphabet.Len() {
-					return nil, fmt.Errorf("%w: entry %v references element %d of a %d-element alphabet", ErrCorrupt, p, elem, alphabet.Len())
-				}
-				val = bfs.PackValue(c, elem, raw&legacyFlagFirst != 0)
-			}
-			lvl = append(lvl, p)
-			if _, inserted := res.Table.Insert(key, val); !inserted {
-				return nil, fmt.Errorf("%w: duplicate entry %v at level %d", ErrCorrupt, p, c)
-			}
-		}
-		res.Levels[c] = lvl
-		if opts.Progress != nil {
-			opts.Progress(c, n)
-		}
-	}
-	gotSum := cr.h.Sum64()
-	var wantSum uint64
-	if err := binary.Read(br, binary.LittleEndian, &wantSum); err != nil {
-		return nil, fmt.Errorf("%w: reading checksum: %w", ErrCorrupt, err)
-	}
-	if gotSum != wantSum {
-		return nil, fmt.Errorf("%w: checksum mismatch (file %#x, computed %#x)", ErrCorrupt, wantSum, gotSum)
-	}
-	// Rehydrated tables go straight to the query phase: freeze for
-	// lock-free concurrent lookups.
-	res.Table.Freeze()
-	return res, nil
+	res, _, err := loadV2Stream(br, alphabet, opts, opts.maxEntries())
+	return res, err
 }
