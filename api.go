@@ -255,22 +255,21 @@
 // lifetime with no invalidation protocol at all. Each shard client
 // therefore keeps:
 //
-//   - a hot-key cache over lookup results (present and absent alike:
-//     a key's absence from an immutable table is as permanent as its
-//     value). Batches split on partial hits — only miss keys travel.
-//     Insertion is guarded by TinyLFU admission: a 4-bit count-min
-//     sketch (periodically halved, so frequencies age) must rank a
-//     candidate above its would-be victim before it may evict, which
-//     keeps the flood of unique scan keys a beyond-horizon query
-//     generates from churning out the direct-lookup working set.
-//     ClientOptions.Admission selects the policy (default TinyLFU;
-//     AdmissionAll restores blind insertion) and admission rejects
-//     are counted in the cache stats;
+//   - a hot-key cache over single-key lookup results (present and
+//     absent alike: a key's absence from an immutable table is as
+//     permanent as its value). Single-key lookups are the query
+//     engine's direct probe and every reconstruction step, and they
+//     recur across queries. A multi-key batch is a meet-in-the-middle
+//     scan chunk whose residues are new to the spec being synthesized;
+//     it goes straight to the wire and neither reads nor fills the
+//     cache, so a scan flood cannot evict the single-key working set.
+//     Its keys count as key misses in the cache stats;
 //   - an immutable level-block cache, so repeated meet-in-the-middle
 //     scans stop re-fetching the hot low-level key ranges entirely;
 //   - singleflight coalescing: concurrent identical misses (the same
-//     level block, or the same miss batch — many clients racing one
-//     specification) share a single round trip.
+//     level block, or the same single-key miss — many clients racing
+//     one specification) share a single round trip. Identical
+//     concurrent scan batches are not coalesced.
 //
 // On top of the caches the query engine pipelines the remote scan
 // itself: the next chunk of level representatives is prefetched while
@@ -281,11 +280,14 @@
 // Tuning: revserve -router takes -remote-cache N (hot-key entries per
 // shard client; 0 picks the default, negative disables every tier for
 // A/B measurement). Warm-up is traffic-driven — the first pass over a
-// working set pays the wire once, after which warm queries run within a
-// small factor of in-process serving (BENCH_5.json tracks the cold and
-// warm curves). Cache hit/miss/coalescing/byte counters surface through
-// ServiceStats.RemoteCache and the /stats endpoint ("clients" holds the
-// router's aggregate over its shard clients).
+// working set pays the wire once for its direct probes, reconstruction
+// steps and level blocks. Meet-in-the-middle scan batches pay it on
+// every query; a repeated spec is the service result LRU's job, not the
+// client's (BENCH_5.json tracks the cold and warm curves from before
+// scan batches bypassed the key cache). Cache hit/miss/coalescing/byte
+// counters surface through ServiceStats.RemoteCache and the /stats
+// endpoint ("clients" holds the router's aggregate over its shard
+// clients).
 //
 // # Operations
 //

@@ -83,10 +83,11 @@
 // "degraded" (200 — some replica down, every range still covered: keep
 // the instance, it answers everything) from "down" (503 — some hash
 // range has no live replica: eject it). Each shard client keeps a
-// tiered cache of immutable results (hot keys, level blocks) sized by
-// -remote-cache; /stats reports the aggregate client-pool counters
-// under "clients" alongside per-replica health, breaker state, and
-// counters.
+// tiered cache of immutable results sized by -remote-cache: a hot-key
+// cache for single-key probes (direct lookups and reconstruction
+// steps; multi-key scan batches bypass it) and a level-block cache.
+// /stats reports the aggregate client-pool counters under "clients"
+// alongside per-replica health, breaker state, and counters.
 //
 // # Traffic layer
 //
@@ -178,13 +179,12 @@ func main() {
 		federation = flag.String("federation", "", "tiered multi-k serving: ';'-separated tiers, each a -router style fleet spec "+
 			"(e.g. 'small:9090;big1:9091|big2:9092') ordered by table depth automatically; queries probe the smallest-k tier "+
 			"first and only beyond-horizon keys escalate to the deeper fleets")
-		cacheAdmission = flag.Bool("cache-admission", true, "TinyLFU admission on the shard clients' hot-key caches "+
-			"(false: blind insert-on-miss, which beyond-horizon scan floods can thrash)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful-drain bound for -shard-serve: SIGTERM announces "+
 			"draining in the handshake, in-flight requests finish, then the process exits")
 		shardConns  = flag.Int("shard-conns", 0, "connection-pool size per shard backend (0: default)")
-		remoteCache = flag.Int("remote-cache", 0, "per-shard client hot-key cache entries for -router "+
-			"(0: default, negative: disable all client caches). Frozen tables are immutable, so cached entries are valid for the process lifetime")
+		remoteCache = flag.Int("remote-cache", 0, "per-shard client hot-key cache entries for -router, holding single-key probes "+
+			"(0: default, negative: disable all client caches). Multi-key scan batches bypass it. "+
+			"Frozen tables are immutable, so cached entries are valid for the process lifetime")
 		retryAttempts = flag.Int("retry-attempts", 0, "per-request transport retry attempts per shard client (0: default)")
 		retryBackoff  = flag.Duration("retry-backoff", 0, "first retry backoff; doubles, capped, jittered (0: default)")
 		attemptTO     = flag.Duration("attempt-timeout", 0, "per-attempt deadline for shard requests (0: default, negative: ctx-bound only)")
@@ -260,9 +260,6 @@ func main() {
 		}
 		if *remoteCache < 0 {
 			copts.LevelCacheBytes = -1 // disabling the knob disables every tier
-		}
-		if !*cacheAdmission {
-			copts.Admission = tablenet.AdmissionAll
 		}
 		return copts
 	}

@@ -348,6 +348,181 @@ func TestCanonicalInvolutionFastPath(t *testing.T) {
 	}
 }
 
+// walkPositions recomputes, from the shuffle words alone, the walk
+// position (index into Sigma/Shuffle) that each step of the
+// plain-changes schedule reaches; walk[0] is the identity. Applying
+// kernel t to a function conjugated by Shuffle(s) leaves it conjugated
+// by the product: conj(conj(f, A), B) = conj(f, A·B), which as packed
+// words is B.Then(A).
+func walkPositions(t testing.TB) [SigmaCount]int {
+	t.Helper()
+	shuffleIdx := make(map[perm.Perm]int, SigmaCount)
+	for s := 0; s < SigmaCount; s++ {
+		shuffleIdx[Shuffle(s)] = s
+	}
+	taus := [3][4]uint8{{1, 0, 2, 3}, {0, 2, 1, 3}, {0, 1, 3, 2}}
+	var walk [SigmaCount]int
+	for i, tr := range schedule {
+		tau, err := perm.WireShuffle(taus[tr])
+		if err != nil {
+			t.Fatal(err)
+		}
+		next, ok := shuffleIdx[tau.Then(Shuffle(walk[i]))]
+		if !ok {
+			t.Fatal("shuffle product escaped the group")
+		}
+		walk[i+1] = next
+	}
+	return walk
+}
+
+// canonicalLoop is the table-driven walk Canonical replaced, kept as the
+// reference oracle: the schedule read from its table, each step through
+// perm.ConjugateAdjacent's switch, the walk position from walk.
+func canonicalLoop(f perm.Perm, walk *[SigmaCount]int) (rep perm.Perm, sigma int, inverted bool) {
+	fi := f.Inverse()
+	if fi == f {
+		rep, sigma = f, 0
+		cf := f
+		for i, t := range schedule {
+			cf = cf.ConjugateAdjacent(t)
+			if cf < rep {
+				rep, sigma = cf, walk[i+1]
+			}
+		}
+		return rep, sigma, false
+	}
+	rep, sigma, inverted = f, 0, false
+	if fi < rep {
+		rep, inverted = fi, true
+	}
+	cf, cfi := f, fi
+	for i, t := range schedule {
+		cf = cf.ConjugateAdjacent(t)
+		cfi = cfi.ConjugateAdjacent(t)
+		if cf < rep {
+			rep, sigma, inverted = cf, walk[i+1], false
+		}
+		if cfi < rep {
+			rep, sigma, inverted = cfi, walk[i+1], true
+		}
+	}
+	return rep, sigma, inverted
+}
+
+// canonicalBrute is the definition, with no kernel at all: the first
+// strict minimum of perm.Conjugate(f or f⁻¹, Shuffle(s)), visiting the
+// walk positions in walk order and f before f⁻¹ at each.
+func canonicalBrute(f perm.Perm, walk *[SigmaCount]int) (rep perm.Perm, sigma int, inverted bool) {
+	fi := f.Inverse()
+	rep = ^perm.Perm(0)
+	for _, s := range walk {
+		if c := perm.Conjugate(f, Shuffle(s)); c < rep {
+			rep, sigma, inverted = c, s, false
+		}
+		if c := perm.Conjugate(fi, Shuffle(s)); c < rep {
+			rep, sigma, inverted = c, s, true
+		}
+	}
+	return rep, sigma, inverted
+}
+
+// oracleInputs lists the degenerate and structured inputs every oracle
+// check covers: all 32 gates, their 1024 pairwise products (the
+// identity, involutions and other small classes among them), and
+// random palindromic involutions.
+func oracleInputs() []perm.Perm {
+	var ps []perm.Perm
+	for _, g := range gate.All() {
+		ps = append(ps, g.Perm())
+	}
+	for _, g := range gate.All() {
+		for _, h := range gate.All() {
+			ps = append(ps, g.Perm().Then(h.Perm()))
+		}
+	}
+	rng := rand.New(rand.NewSource(12))
+	for i := 0; i < 1000; i++ {
+		ps = append(ps, randInvolution(rng))
+	}
+	return ps
+}
+
+// checkCanonical compares Canonical on f with both oracles — the result
+// and the tie-break, i.e. the exact (rep, sigma, inverted) triple — and
+// checks the witness reconstructs rep.
+func checkCanonical(t testing.TB, f perm.Perm, walk *[SigmaCount]int) {
+	rep, sigma, inverted := Canonical(f)
+	if lr, ls, li := canonicalLoop(f, walk); lr != rep || ls != sigma || li != inverted {
+		t.Fatalf("Canonical(%v) = (%v, σ%d, %v), loop walk gives (%v, σ%d, %v)", f, rep, sigma, inverted, lr, ls, li)
+	}
+	if br, bs, bi := canonicalBrute(f, walk); br != rep || bs != sigma || bi != inverted {
+		t.Fatalf("Canonical(%v) = (%v, σ%d, %v), brute force gives (%v, σ%d, %v)", f, rep, sigma, inverted, br, bs, bi)
+	}
+	base := f
+	if inverted {
+		base = f.Inverse()
+	}
+	if got := perm.Conjugate(base, Shuffle(sigma)); got != rep {
+		t.Fatalf("witness failed for %v: conj(base, σ%d) = %v, rep = %v (inv=%v)", f, sigma, got, rep, inverted)
+	}
+}
+
+// TestWalkVisitsEveryRelabeling: the walk Canonical spells out reaches
+// each of the 24 positions exactly once.
+func TestWalkVisitsEveryRelabeling(t *testing.T) {
+	walk := walkPositions(t)
+	var seen [SigmaCount]bool
+	for _, s := range walk {
+		if seen[s] {
+			t.Fatalf("walk %v revisits position %d", walk, s)
+		}
+		seen[s] = true
+	}
+}
+
+// TestCanonicalMatchesOracles checks the straight-line Canonical against
+// the table-driven loop and the brute-force definition, triple for
+// triple, on the structured inputs and 10⁶ random permutations (10⁵
+// under -short).
+func TestCanonicalMatchesOracles(t *testing.T) {
+	walk := walkPositions(t)
+	for _, f := range oracleInputs() {
+		checkCanonical(t, f, &walk)
+	}
+	n := 1_000_000
+	if testing.Short() {
+		n = 100_000
+	}
+	rng := rand.New(rand.NewSource(13))
+	for i := 0; i < n; i++ {
+		checkCanonical(t, randPerm(rng), &walk)
+	}
+}
+
+// FuzzCanonical runs the oracle check on fuzzed inputs. A fuzzed word
+// that is not a permutation seeds a random one instead. Run with
+// `go test -fuzz FuzzCanonical ./internal/canon` to explore; the seed
+// corpus (the structured oracle inputs plus random permutations) runs
+// as a normal test.
+func FuzzCanonical(f *testing.F) {
+	for _, p := range oracleInputs() {
+		f.Add(uint64(p))
+	}
+	rng := rand.New(rand.NewSource(14))
+	for i := 0; i < 100; i++ {
+		f.Add(uint64(randPerm(rng)))
+	}
+	walk := walkPositions(f)
+	f.Fuzz(func(t *testing.T, x uint64) {
+		p := perm.Perm(x)
+		if !p.IsValid() {
+			p = randPerm(rand.New(rand.NewSource(int64(x))))
+		}
+		checkCanonical(t, p, &walk)
+	})
+}
+
 // BenchmarkCanonical isolates the canonicalization kernel on the two
 // input populations the BFS inner loop sees: general functions (one
 // inversion, 46 conjugation kernels) and involutions, where the inverse

@@ -13,11 +13,12 @@ import "fmt"
 // the three constant-time kernels below, each of which (a) permutes the
 // sixteen nibble positions by the induced state map and (b) applies the
 // same state map to every nibble value. Each kernel is 14 machine
-// operations, matching the paper's conjugate01.
+// operations, matching the paper's conjugate01, and small enough to
+// inline: canon's straight-line walk calls them directly.
 
-// conj01 conjugates p by the swap of wires 0 and 1 (bits 0 and 1 of the
+// Conj01 conjugates p by the swap of wires 0 and 1 (bits 0 and 1 of the
 // state). This is the paper's conjugate01 routine.
-func (p Perm) conj01() Perm {
+func (p Perm) Conj01() Perm {
 	v := uint64(p)
 	// Swap nibble positions whose indices differ by exchanging bits 0,1
 	// (… positions 1 ↔ 2, 5 ↔ 6, 9 ↔ 10, 13 ↔ 14).
@@ -30,7 +31,8 @@ func (p Perm) conj01() Perm {
 		((v & 0x2222222222222222) >> 1))
 }
 
-func (p Perm) conj12() Perm {
+// Conj12 conjugates p by the swap of wires 1 and 2.
+func (p Perm) Conj12() Perm {
 	v := uint64(p)
 	// Swap nibble positions whose indices differ by exchanging bits 1,2
 	// (positions 2,3 ↔ 4,5 and 10,11 ↔ 12,13).
@@ -43,7 +45,8 @@ func (p Perm) conj12() Perm {
 		((v & 0x4444444444444444) >> 1))
 }
 
-func (p Perm) conj23() Perm {
+// Conj23 conjugates p by the swap of wires 2 and 3.
+func (p Perm) Conj23() Perm {
 	v := uint64(p)
 	// Swap nibble positions whose indices differ by exchanging bits 2,3
 	// (positions 4…7 ↔ 8…11).
@@ -63,11 +66,11 @@ func (p Perm) conj23() Perm {
 func (p Perm) ConjugateAdjacent(t int) Perm {
 	switch t {
 	case 0:
-		return p.conj01()
+		return p.Conj01()
 	case 1:
-		return p.conj12()
+		return p.Conj12()
 	case 2:
-		return p.conj23()
+		return p.Conj23()
 	}
 	panic(fmt.Sprintf("perm: adjacent transposition index %d out of range [0,2]", t))
 }

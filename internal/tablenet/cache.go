@@ -17,14 +17,16 @@ import (
 // forever. Three tiers exploit that:
 //
 //  1. A sharded hot-key cache (set-associative, lock-free reads) over
-//     LookupBatch results. Partial hits split the batch: hit keys are
-//     answered locally and only the misses travel.
+//     single-key lookups — the query engine's direct probe and every
+//     reconstruction step, which recur across queries. Multi-key
+//     batches (meet-in-the-middle scans, whose residues are new to
+//     each spec) bypass it: they neither read nor fill it.
 //  2. An immutable level-block cache: LevelKeys ranges are fetched as
 //     aligned blocks and kept, so repeated meet-in-the-middle scans stop
 //     re-fetching the low-level key ranges entirely.
 //  3. Singleflight coalescing: concurrent identical misses (the same
-//     level block, or the same miss-key batch — e.g. many clients racing
-//     the same specification) share one round trip.
+//     level block, or the same single-key miss — e.g. many clients
+//     racing the same specification) share one round trip.
 
 // hotWays is the set associativity of the hot-key cache: victim
 // selection is LRU-by-tick within a 4-slot set, which captures the
@@ -53,12 +55,6 @@ type hotKeyCache struct {
 	tick  atomic.Uint32
 	locks [hotLocks]sync.Mutex
 
-	// sketch gates insertion (TinyLFU admission, see admission.go); nil
-	// means admit everything (AdmissionAll). rejects counts insertions
-	// the sketch refused.
-	sketch  *admissionSketch
-	rejects atomic.Uint64
-
 	hits   atomic.Uint64
 	misses atomic.Uint64
 }
@@ -66,24 +62,20 @@ type hotKeyCache struct {
 const hotFoundBit = 1 << 16
 
 // newHotKeyCache sizes the cache for roughly capacity entries, rounded
-// up to a power-of-two set count. admit enables TinyLFU admission.
-func newHotKeyCache(capacity int, admit bool) *hotKeyCache {
+// up to a power-of-two set count.
+func newHotKeyCache(capacity int) *hotKeyCache {
 	sets := 1
 	for sets*hotWays < capacity {
 		sets <<= 1
 	}
 	n := sets * hotWays
-	c := &hotKeyCache{
+	return &hotKeyCache{
 		mask:  uint64(sets - 1),
 		keys:  make([]atomic.Uint64, n),
 		vals:  make([]atomic.Uint32, n),
 		seqs:  make([]atomic.Uint32, n),
 		ticks: make([]atomic.Uint32, n),
 	}
-	if admit {
-		c.sketch = newAdmissionSketch(n)
-	}
-	return c
 }
 
 // get probes the cache. ok reports a usable entry; found mirrors the
@@ -106,16 +98,10 @@ func (c *hotKeyCache) get(key uint64) (val uint16, found, ok bool) {
 		}
 		// Tick the slot so in-set LRU keeps hot keys; a plain store of
 		// the current tick is enough (no increment — ordering between
-		// concurrent readers is irrelevant). The admission sketch records
-		// the hit only when the slot's tick is stale: the tick advances
-		// only on insertions, so a fully-warm cache pays zero sketch
-		// overhead, while under churn — exactly when admission decisions
-		// are being made — resident hot keys keep their frequency fresh.
-		cur := c.tick.Load()
-		if c.ticks[i].Load() != cur {
-			if c.sketch != nil {
-				c.sketch.inc(key)
-			}
+		// concurrent readers is irrelevant). The tick advances only on
+		// insertions, so a fully-warm cache skips the store and its
+		// readers write no shared line.
+		if cur := c.tick.Load(); c.ticks[i].Load() != cur {
 			c.ticks[i].Store(cur)
 		}
 		return uint16(v), v&hotFoundBit != 0, true
@@ -135,7 +121,6 @@ func (c *hotKeyCache) put(key uint64, val uint16, found bool) {
 	lk.Lock()
 	victim := base
 	oldest := ^uint32(0)
-	empty := false
 	for i := base; i < base+hotWays; i++ {
 		k := c.keys[i].Load()
 		if k == key {
@@ -143,26 +128,11 @@ func (c *hotKeyCache) put(key uint64, val uint16, found bool) {
 			return // immutable: already present with the same value
 		}
 		if k == 0 {
-			victim, empty = i, true
+			victim = i
 			break
 		}
 		if t := c.ticks[i].Load(); t <= oldest {
 			oldest, victim = t, i
-		}
-	}
-	if c.sketch != nil {
-		// Record this encounter first — a key rejected now gains the
-		// history to win admission when it recurs — then, for a full
-		// set, insert only if the candidate's recent frequency strictly
-		// beats the would-be victim's. A one-shot scan key (estimate
-		// bounded by its single encounter) loses to any key with
-		// history, which is the whole point: beyond-horizon floods stop
-		// evicting the direct-lookup working set.
-		c.sketch.inc(key)
-		if !empty && c.sketch.estimate(key) <= c.sketch.estimate(c.keys[victim].Load()) {
-			c.rejects.Add(1)
-			lk.Unlock()
-			return
 		}
 	}
 	packed := uint32(val)
@@ -178,15 +148,8 @@ func (c *hotKeyCache) put(key uint64, val uint16, found bool) {
 	lk.Unlock()
 }
 
-// bytes is the cache's fixed memory footprint (admission sketch
-// included).
-func (c *hotKeyCache) bytes() int64 {
-	n := int64(len(c.keys)) * (8 + 4 + 4 + 4)
-	if c.sketch != nil {
-		n += c.sketch.bytes()
-	}
-	return n
-}
+// bytes is the cache's fixed memory footprint.
+func (c *hotKeyCache) bytes() int64 { return int64(len(c.keys)) * (8 + 4 + 4 + 4) }
 
 // levelBlockKeys is the granularity of the level cache: level ranges
 // are fetched and kept as aligned blocks of this many keys (16 KiB on
@@ -298,135 +261,59 @@ func (lc *levelCache) block(ctx context.Context, c, idx, blockN int, fetch func(
 	}
 }
 
-// lookupFlight is one in-flight miss-batch fetch. keys is the flight's
-// own copy; identical concurrent batches (compared by content, not just
-// hash) wait on done and copy vals/found out.
+// lookupFlight is one in-flight single-key miss; concurrent misses on
+// the same key wait on done and read val/found.
 type lookupFlight struct {
-	keys  []uint64
-	vals  []uint16
-	found []bool
+	val   uint16
+	found bool
 	err   error
 	done  chan struct{}
 }
 
-// lookupFlights indexes in-flight miss batches by a content hash, with
-// per-bucket lists so hash collisions degrade to extra comparisons,
-// never wrong answers.
+// lookupFlights indexes in-flight single-key misses by key.
 type lookupFlights struct {
 	mu        sync.Mutex
-	inflight  map[uint64][]*lookupFlight
+	inflight  map[uint64]*lookupFlight
 	coalesced atomic.Uint64
 }
 
 func newLookupFlights() *lookupFlights {
-	return &lookupFlights{inflight: make(map[uint64][]*lookupFlight)}
+	return &lookupFlights{inflight: make(map[uint64]*lookupFlight)}
 }
 
-// hashKeys fingerprints a key batch (order-sensitive: batches coalesce
-// only when byte-identical, which is what preserves response order).
-func hashKeys(keys []uint64) uint64 {
-	h := uint64(len(keys))
-	for _, k := range keys {
-		h = hashtab.Hash64Shift(h ^ k)
-	}
-	return h
-}
-
-func equalKeys(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i, k := range a {
-		if b[i] != k {
-			return false
-		}
-	}
-	return true
-}
-
-// do resolves one miss batch: if an identical batch is already in
-// flight its result is shared; otherwise fetch runs exactly once and
-// its results are published to every waiter. vals/found are filled on
-// success.
+// do resolves one single-key miss: if the same key is already in flight
+// its result is shared; otherwise fetch runs exactly once and its
+// result is published to every waiter.
 //
 // As with level blocks, the fetch itself runs detached from any single
 // caller's context (context.WithoutCancel): a coalesced waiter must
 // never inherit the launching query's cancellation or deadline. Every
 // caller waits under its own ctx; the flight outlives a canceled
-// caller, bounded by the wire layer's stall backstop, and its results
-// still reach the cache.
-func (lf *lookupFlights) do(ctx context.Context, keys []uint64, vals []uint16, found []bool, fetch func(ctx context.Context, keys []uint64, vals []uint16, found []bool) error) error {
-	h := hashKeys(keys)
+// caller, bounded by the wire layer's stall backstop, and its result
+// still reaches the cache.
+func (lf *lookupFlights) do(ctx context.Context, key uint64, fetch func(ctx context.Context, key uint64) (uint16, bool, error)) (uint16, bool, error) {
 	lf.mu.Lock()
-	var fl *lookupFlight
-	for _, o := range lf.inflight[h] {
-		if equalKeys(o.keys, keys) {
-			fl = o
-			lf.coalesced.Add(1)
-			break
-		}
-	}
-	launched := false
-	if fl == nil {
-		fl = &lookupFlight{
-			keys:  append([]uint64(nil), keys...),
-			vals:  make([]uint16, len(keys)),
-			found: make([]bool, len(keys)),
-			done:  make(chan struct{}),
-		}
-		lf.inflight[h] = append(lf.inflight[h], fl)
-		launched = true
+	fl, ok := lf.inflight[key]
+	if ok {
+		lf.coalesced.Add(1)
+	} else {
+		fl = &lookupFlight{done: make(chan struct{})}
+		lf.inflight[key] = fl
 	}
 	lf.mu.Unlock()
-	if launched {
+	if !ok {
 		go func(fctx context.Context) {
-			fl.err = fetch(fctx, fl.keys, fl.vals, fl.found)
+			fl.val, fl.found, fl.err = fetch(fctx, key)
 			close(fl.done)
 			lf.mu.Lock()
-			bucket := lf.inflight[h]
-			for i, o := range bucket {
-				if o == fl {
-					bucket[i] = bucket[len(bucket)-1]
-					bucket = bucket[:len(bucket)-1]
-					break
-				}
-			}
-			if len(bucket) == 0 {
-				delete(lf.inflight, h)
-			} else {
-				lf.inflight[h] = bucket
-			}
+			delete(lf.inflight, key)
 			lf.mu.Unlock()
 		}(context.WithoutCancel(ctx))
 	}
 	select {
 	case <-fl.done:
-		if fl.err == nil {
-			copy(vals, fl.vals)
-			copy(found, fl.found)
-		}
-		return fl.err
+		return fl.val, fl.found, fl.err
 	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
-// batchScratch is the pooled per-call workspace of the cached
-// LookupBatch path, so a fully-cached probe allocates nothing.
-type batchScratch struct {
-	idx   []int
-	keys  []uint64
-	vals  []uint16
-	found []bool
-}
-
-var batchScratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
-
-func (sc *batchScratch) grow(n int) {
-	if cap(sc.keys) < n {
-		sc.idx = make([]int, 0, n)
-		sc.keys = make([]uint64, 0, n)
-		sc.vals = make([]uint16, n)
-		sc.found = make([]bool, n)
+		return 0, false, ctx.Err()
 	}
 }

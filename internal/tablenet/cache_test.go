@@ -12,11 +12,12 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/hashtab"
 	"repro/internal/perm"
 )
 
 func TestHotKeyCacheBasics(t *testing.T) {
-	c := newHotKeyCache(64, true)
+	c := newHotKeyCache(64)
 	if _, _, ok := c.get(42); ok {
 		t.Fatal("empty cache reported a hit")
 	}
@@ -38,7 +39,7 @@ func TestHotKeyCacheBasics(t *testing.T) {
 func TestHotKeyCacheEvictsWithinSet(t *testing.T) {
 	// A minimal cache: one set of hotWays slots. Insert more keys than
 	// ways; recently-used keys must survive over stale ones.
-	c := newHotKeyCache(1, false)
+	c := newHotKeyCache(1)
 	if c.mask != 0 {
 		t.Fatalf("expected a single set, mask = %d", c.mask)
 	}
@@ -63,28 +64,21 @@ func TestLookupFlightsCoalesce(t *testing.T) {
 	var fetches atomic.Int64
 	var release sync.WaitGroup
 	release.Add(1)
-	fetch := func(ctx context.Context, keys []uint64, vals []uint16, found []bool) error {
+	fetch := func(ctx context.Context, key uint64) (uint16, bool, error) {
 		fetches.Add(1)
 		release.Wait() // hold every first fetch open so others can pile on
-		for i := range keys {
-			vals[i] = uint16(keys[i])
-			found[i] = true
-		}
-		return nil
+		return uint16(key), true, nil
 	}
-	keys := []uint64{10, 20, 30}
+	const key = 20
 	const callers = 8
 	var wg sync.WaitGroup
 	errs := make([]error, callers)
-	valss := make([][]uint16, callers)
+	vals := make([]uint16, callers)
 	for w := 0; w < callers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			vals := make([]uint16, len(keys))
-			found := make([]bool, len(keys))
-			errs[w] = lf.do(context.Background(), keys, vals, found, fetch)
-			valss[w] = vals
+			vals[w], _, errs[w] = lf.do(context.Background(), key, fetch)
 		}(w)
 	}
 	// Hold the first fetch open until every other caller has joined it,
@@ -104,10 +98,8 @@ func TestLookupFlightsCoalesce(t *testing.T) {
 		if errs[w] != nil {
 			t.Fatalf("caller %d: %v", w, errs[w])
 		}
-		for i, k := range keys {
-			if valss[w][i] != uint16(k) {
-				t.Fatalf("caller %d got vals %v", w, valss[w])
-			}
+		if vals[w] != key {
+			t.Fatalf("caller %d got val %d", w, vals[w])
 		}
 	}
 	if f := fetches.Load(); f != 1 {
@@ -116,21 +108,19 @@ func TestLookupFlightsCoalesce(t *testing.T) {
 	if c := lf.coalesced.Load(); c != callers-1 {
 		t.Fatalf("coalesced counter = %d, want %d", c, callers-1)
 	}
-	// Different batches never share a flight.
-	other := []uint64{10, 20, 31}
-	vals := make([]uint16, len(other))
-	found := make([]bool, len(other))
-	if err := lf.do(context.Background(), other, vals, found, fetch); err != nil {
+	// A different key never shares a flight.
+	v, _, err := lf.do(context.Background(), 31, fetch)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if vals[2] != 31 {
-		t.Fatalf("distinct batch got shared results: %v", vals)
+	if v != 31 {
+		t.Fatalf("distinct key got shared result %d", v)
 	}
 }
 
 // TestClientCacheServesWithoutWire proves the tiers actually remove
-// round trips: after a first pass, identical lookups and level reads
-// are answered without the server seeing any new request.
+// round trips: after a first pass, repeated single-key lookups and level
+// reads are answered without the server seeing any new request.
 func TestClientCacheServesWithoutWire(t *testing.T) {
 	res := fixtureTables(t)
 	srv, addr := startServer(t, fixtureBackend(t))
@@ -144,11 +134,17 @@ func TestClientCacheServesWithoutWire(t *testing.T) {
 		keys = append(keys, uint64(lv.At(rng.Intn(lv.Len()))))
 		keys = append(keys, uint64(randomPerm16(rng))) // mostly absent
 	}
+	lookupEach := func(vals []uint16, found []bool) {
+		t.Helper()
+		for i := range keys {
+			if err := cl.LookupBatch(ctx, keys[i:i+1], vals[i:i+1], found[i:i+1]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 	vals1 := make([]uint16, len(keys))
 	found1 := make([]bool, len(keys))
-	if err := cl.LookupBatch(ctx, keys, vals1, found1); err != nil {
-		t.Fatal(err)
-	}
+	lookupEach(vals1, found1)
 	out1 := make([]uint64, res.LevelLen(2))
 	if err := cl.LevelKeys(ctx, 2, 0, out1); err != nil {
 		t.Fatal(err)
@@ -157,9 +153,7 @@ func TestClientCacheServesWithoutWire(t *testing.T) {
 	before := srv.Stats()
 	vals2 := make([]uint16, len(keys))
 	found2 := make([]bool, len(keys))
-	if err := cl.LookupBatch(ctx, keys, vals2, found2); err != nil {
-		t.Fatal(err)
-	}
+	lookupEach(vals2, found2)
 	out2 := make([]uint64, res.LevelLen(2))
 	if err := cl.LevelKeys(ctx, 2, 0, out2); err != nil {
 		t.Fatal(err)
@@ -191,33 +185,148 @@ func TestClientCacheServesWithoutWire(t *testing.T) {
 	}
 }
 
-// TestClientPartialHitSplitsBatch: a batch mixing cached and new keys
-// sends only the misses over the wire.
-func TestClientPartialHitSplitsBatch(t *testing.T) {
+// TestClientBatchBypassesCache: a multi-key batch always travels whole —
+// even when every key is cached — adds len(keys) to KeyMisses, and
+// leaves the cache contents untouched: it neither fills the cache with
+// its keys nor evicts what single-key lookups put there.
+func TestClientBatchBypassesCache(t *testing.T) {
 	res := fixtureTables(t)
 	srv, addr := startServer(t, fixtureBackend(t))
 	cl := dialClient(t, addr, nil)
 	ctx := context.Background()
 
-	lv := res.Level(1)
-	warm := []uint64{uint64(lv.At(0))}
-	if err := cl.LookupBatch(ctx, warm, make([]uint16, 1), make([]bool, 1)); err != nil {
+	cached := uint64(res.Level(1).At(0))
+	if err := cl.LookupBatch(ctx, []uint64{cached}, make([]uint16, 1), make([]bool, 1)); err != nil {
 		t.Fatal(err)
 	}
-	before := srv.Stats()
-	mixed := []uint64{uint64(lv.At(0)), uint64(res.Level(2).At(0))}
-	vals := make([]uint16, 2)
-	found := make([]bool, 2)
-	if err := cl.LookupBatch(ctx, mixed, vals, found); err != nil {
-		t.Fatal(err)
+	rng := rand.New(rand.NewSource(6))
+	fresh := []uint64{uint64(res.Level(2).At(0)), uint64(randomPerm16(rng))}
+	for _, batch := range [][]uint64{
+		{cached, cached},
+		{cached, fresh[0]},
+		fresh,
+	} {
+		before, beforeSt := srv.Stats(), cl.CacheStats()
+		vals := make([]uint16, len(batch))
+		found := make([]bool, len(batch))
+		if err := cl.LookupBatch(ctx, batch, vals, found); err != nil {
+			t.Fatal(err)
+		}
+		after, afterSt := srv.Stats(), cl.CacheStats()
+		if moved := after.Keys - before.Keys; moved != uint64(len(batch)) {
+			t.Fatalf("batch %v sent %d keys over the wire, want %d", batch, moved, len(batch))
+		}
+		if afterSt.KeyHits != beforeSt.KeyHits || afterSt.KeyMisses-beforeSt.KeyMisses != uint64(len(batch)) {
+			t.Fatalf("batch %v moved key counters %+v -> %+v, want +%d misses only", batch, beforeSt, afterSt, len(batch))
+		}
+		for i, k := range batch {
+			if !found[i] && k != fresh[1] {
+				t.Fatalf("batch %v: table key %#x reported absent", batch, k)
+			}
+		}
 	}
-	after := srv.Stats()
-	if moved := after.Keys - before.Keys; moved != 1 {
-		t.Fatalf("partial hit sent %d keys over the wire, want 1 (the miss)", moved)
+	if _, _, ok := cl.kcache.get(cached); !ok {
+		t.Fatal("batches evicted the single-key entry")
 	}
-	if !found[0] || !found[1] {
-		t.Fatalf("mixed batch results wrong: %v", found)
+	for _, k := range fresh {
+		if _, _, ok := cl.kcache.get(k); ok {
+			t.Fatalf("batch key %#x entered the cache", k)
+		}
 	}
+}
+
+// TestClientWorkingSetUnderScanFlood: a single-key working set stays
+// 100 % resident while concurrent flooders push multi-key batches of
+// unique keys through the same client — scan batches cannot evict it
+// because they never insert. Readers re-probe the working set during
+// the flood too, racing the batch path against the seqlock reads.
+func TestClientWorkingSetUnderScanFlood(t *testing.T) {
+	res := fixtureTables(t)
+	srv, addr := startServer(t, fixtureBackend(t))
+
+	// 64 present keys spread ≤ 2 per cache set (CacheKeys 256 → 64 sets)
+	// so the working set itself never overflows a set.
+	lv := res.Level(res.MaxCost)
+	li := 0
+	hot := spreadKeys(t, 64, 256/hotWays, 2, func() uint64 {
+		k := uint64(lv.At(li % lv.Len()))
+		li++
+		return k
+	})
+	cl := dialClient(t, addr, &ClientOptions{CacheKeys: 256})
+	ctx := context.Background()
+	probe := func() (hits uint64) {
+		var v [1]uint16
+		var f [1]bool
+		for i := range hot {
+			before := cl.CacheStats().KeyHits
+			if err := cl.LookupBatch(ctx, hot[i:i+1], v[:], f[:]); err != nil {
+				t.Error(err)
+				return hits
+			}
+			if !f[0] {
+				t.Errorf("working-set key %#x reported absent", hot[i])
+			}
+			hits += cl.CacheStats().KeyHits - before
+		}
+		return hits
+	}
+	probe() // warm-up: the working set enters an empty cache
+
+	const rounds = 12
+	floodNext := uint64(1) << 40
+	for r := 0; r < rounds; r++ {
+		var wg sync.WaitGroup
+		for f := 0; f < 2; f++ {
+			wg.Add(1)
+			go func(f int) {
+				defer wg.Done()
+				keys := make([]uint64, 256)
+				for i := range keys {
+					keys[i] = floodNext + uint64(r*4096+f*2048+i)
+				}
+				if err := cl.LookupBatch(ctx, keys, make([]uint16, len(keys)), make([]bool, len(keys))); err != nil {
+					t.Error(err)
+				}
+			}(f)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			probe() // concurrent with the flood: hits are not counted here
+		}()
+		wg.Wait()
+
+		before := srv.Stats()
+		if hits := probe(); hits != uint64(len(hot)) {
+			t.Fatalf("round %d: working-set residency %d/%d under scan flood, want all", r, hits, len(hot))
+		}
+		if after := srv.Stats(); after.Lookups != before.Lookups {
+			t.Fatalf("round %d: resident working set still hit the wire (%d lookups)", r, after.Lookups-before.Lookups)
+		}
+	}
+}
+
+// spreadKeys draws keys from gen until count keys land no more than
+// maxPerSet into any of the cache's sets (the same hash the cache
+// itself uses).
+func spreadKeys(t *testing.T, count, sets, maxPerSet int, gen func() uint64) []uint64 {
+	t.Helper()
+	perSet := make(map[uint64]int, sets)
+	var keys []uint64
+	for tries := 0; len(keys) < count; tries++ {
+		if tries > 100000 {
+			t.Fatal("could not spread the working set over the cache sets")
+		}
+		k := gen()
+		set := hashtab.Hash64Shift(k) & uint64(sets-1)
+		if perSet[set] >= maxPerSet {
+			continue
+		}
+		perSet[set]++
+		keys = append(keys, k)
+	}
+	return keys
 }
 
 func TestClientCachesDisabled(t *testing.T) {
@@ -443,14 +552,14 @@ func TestFrameCodecAllocs(t *testing.T) {
 	}
 }
 
-// TestClientLookupAllocs guards the client's request path: a fully
-// cache-hit batch allocates nothing, and even a wire round trip on a
-// cache-disabled client stays at a handful of fixed-size allocations
-// (the two per-chunk closures and context bookkeeping) — never a
-// per-batch buffer.
+// TestClientLookupAllocs guards the client's request path: a cached
+// single-key lookup allocates nothing, and neither does a multi-key
+// batch on a caching client — it goes straight to the wire, encoding
+// into the pooled connection's frame buffer, with no key copy, result
+// buffers, channel or goroutine per batch.
 func TestClientLookupAllocs(t *testing.T) {
 	if raceEnabled {
-		t.Skip("alloc bounds are calibrated without race instrumentation (sync.Pool drops items under -race)")
+		t.Skip("alloc bounds are calibrated without race instrumentation")
 	}
 	res := fixtureTables(t)
 	_, addr := startServer(t, fixtureBackend(t))
@@ -462,30 +571,30 @@ func TestClientLookupAllocs(t *testing.T) {
 	}
 	vals := make([]uint16, len(keys))
 	found := make([]bool, len(keys))
+	cl := dialClient(t, addr, &ClientOptions{Conns: 1})
 
-	cached := dialClient(t, addr, &ClientOptions{Conns: 1})
-	if err := cached.LookupBatch(ctx, keys, vals, found); err != nil {
+	one, oneVal, oneFound := keys[:1], vals[:1], found[:1]
+	if err := cl.LookupBatch(ctx, one, oneVal, oneFound); err != nil {
 		t.Fatal(err)
 	}
 	allocs := testing.AllocsPerRun(100, func() {
-		if err := cached.LookupBatch(ctx, keys, vals, found); err != nil {
+		if err := cl.LookupBatch(ctx, one, oneVal, oneFound); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > 0 {
-		t.Errorf("cache-hit LookupBatch allocates %.1f times, want 0", allocs)
+		t.Errorf("cached single-key LookupBatch allocates %.1f times, want 0", allocs)
 	}
 
-	wire := dialClient(t, addr, &ClientOptions{Conns: 1, CacheKeys: -1, LevelCacheBytes: -1})
-	if err := wire.LookupBatch(ctx, keys, vals, found); err != nil {
+	if err := cl.LookupBatch(ctx, keys, vals, found); err != nil {
 		t.Fatal(err)
 	}
 	allocs = testing.AllocsPerRun(50, func() {
-		if err := wire.LookupBatch(ctx, keys, vals, found); err != nil {
+		if err := cl.LookupBatch(ctx, keys, vals, found); err != nil {
 			t.Fatal(err)
 		}
 	})
-	if allocs > 4 {
-		t.Errorf("wire LookupBatch allocates %.1f times per round trip, want ≤ 4", allocs)
+	if allocs > 0 {
+		t.Errorf("multi-key LookupBatch allocates %.1f times per round trip, want 0", allocs)
 	}
 }

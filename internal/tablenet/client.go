@@ -25,10 +25,11 @@ type ClientOptions struct {
 	DialTimeout time.Duration
 	// CacheKeys is the hot-key cache capacity in entries (20 bytes
 	// each); 0 means DefaultCacheKeys, negative disables the key cache
-	// and its miss coalescing. The cache is correct for the client's
-	// lifetime because the handshake pins one immutable table
-	// generation: a reconnect onto different tables fails loudly instead
-	// of poisoning the cache.
+	// and its miss coalescing. The cache serves single-key lookups only
+	// (the direct probe and reconstruction steps); multi-key scan
+	// batches bypass it. It is correct for the client's lifetime because
+	// the handshake pins one immutable table generation: a reconnect
+	// onto different tables fails loudly instead of poisoning the cache.
 	CacheKeys int
 	// LevelCacheBytes is the byte budget of the immutable level-block
 	// cache; 0 means DefaultLevelCacheBytes, negative disables it.
@@ -38,34 +39,14 @@ type ClientOptions struct {
 	// converted into fresh attempts with capped exponential backoff;
 	// the zero value picks the defaults. See RetryPolicy.
 	Retry RetryPolicy
-	// Admission selects the hot-key cache's insertion policy. The zero
-	// value is AdmissionTinyLFU — frequency-gated admission that keeps
-	// the recurring direct-lookup working set resident under floods of
-	// one-shot beyond-horizon scan keys (see admission.go). AdmissionAll
-	// restores unconditional insert-on-miss.
-	Admission AdmissionPolicy
 }
-
-// AdmissionPolicy selects how the hot-key cache decides whether a
-// fetched miss is worth caching.
-type AdmissionPolicy int
-
-const (
-	// AdmissionTinyLFU (the default) admits a new key only when its
-	// recent frequency — tracked in a 4-bit count-min sketch with
-	// periodic halving — beats the entry it would evict.
-	AdmissionTinyLFU AdmissionPolicy = iota
-	// AdmissionAll inserts every fetched result unconditionally.
-	AdmissionAll
-)
 
 // DefaultConns is the default connection-pool bound.
 const DefaultConns = 4
 
-// DefaultCacheKeys is the default hot-key cache capacity. Sized (20 MiB
-// at 20 B/entry) to hold the full candidate-key working set of repeated
-// meet-in-the-middle scans at k = 6, not just the direct-lookup keys:
-// warm scans then resolve entirely client-side.
+// DefaultCacheKeys is the default hot-key cache capacity (20 MiB at
+// 20 B/entry). That is far more than the single-key working set it
+// holds; a smaller default needs its own end-to-end measurement.
 const DefaultCacheKeys = 1 << 20
 
 // DefaultLevelCacheBytes is the default level-block cache budget —
@@ -78,10 +59,11 @@ const DefaultLevelCacheBytes = 32 << 20
 // multiplexed over a bounded pool of request/response connections.
 //
 // The client is tiered: immutable results are cached (a sharded hot-key
-// cache for lookups, an aligned-block cache for level key ranges) and
-// identical concurrent misses are coalesced into one round trip, so a
-// warm client answers most reads without touching the network. See
-// CacheStats for the counters.
+// cache for single-key lookups, an aligned-block cache for level key
+// ranges) and identical concurrent misses are coalesced into one round
+// trip, so a warm client answers its direct probes, reconstruction
+// steps and level reads without touching the network. Multi-key scan
+// batches always travel. See CacheStats for the counters.
 type Client struct {
 	addr   string
 	opts   ClientOptions
@@ -179,7 +161,7 @@ func Dial(addr string, opts *ClientOptions) (*Client, error) {
 		if ck == 0 {
 			ck = DefaultCacheKeys
 		}
-		cl.kcache = newHotKeyCache(ck, o.Admission == AdmissionTinyLFU)
+		cl.kcache = newHotKeyCache(ck)
 		cl.kflights = newLookupFlights()
 	}
 	if o.LevelCacheBytes >= 0 {
@@ -303,7 +285,6 @@ func (cl *Client) CacheStats() tables.CacheStats {
 		st.KeyHits = cl.kcache.hits.Load()
 		st.KeyMisses = cl.kcache.misses.Load()
 		st.CacheBytes += cl.kcache.bytes()
-		st.AdmissionRejects = cl.kcache.rejects.Load()
 	}
 	if cl.kflights != nil {
 		st.Coalesced += cl.kflights.coalesced.Load()
@@ -524,11 +505,17 @@ func (cl *Client) attempt(ctx context.Context, attemptDL time.Time, op byte, enc
 }
 
 // LookupBatch implements tables.Backend: canonical keys out, packed
-// values and presence back. Keys present in the hot-key cache are
-// answered locally; only the misses travel (one round trip per
-// maxLookupKeys chunk), coalesced with any identical in-flight miss
-// batch, and the fetched results — present or absent, both immutable —
-// are cached for every later probe.
+// values and presence back.
+//
+// A single-key lookup — the query engine's direct probe and each
+// reconstruction step, which recur across queries — is answered from
+// the hot-key cache when present; a miss is coalesced with any
+// in-flight miss on the same key and its result, present or absent
+// (both immutable), is cached. A batch of two or more keys is a
+// meet-in-the-middle scan chunk whose residues are new to the spec
+// being synthesized: it goes straight to the wire (one round trip per
+// maxLookupKeys chunk) and neither reads nor fills the cache; its keys
+// count as misses.
 func (cl *Client) LookupBatch(ctx context.Context, keys []uint64, vals []uint16, found []bool) error {
 	if len(vals) != len(keys) || len(found) != len(keys) {
 		return fmt.Errorf("tablenet: LookupBatch slice lengths differ (%d/%d/%d)", len(keys), len(vals), len(found))
@@ -536,45 +523,32 @@ func (cl *Client) LookupBatch(ctx context.Context, keys []uint64, vals []uint16,
 	if cl.kcache == nil {
 		return cl.lookupWire(ctx, keys, vals, found)
 	}
-	sc := batchScratchPool.Get().(*batchScratch)
-	sc.grow(len(keys))
-	missIdx, missKeys := sc.idx[:0], sc.keys[:0]
-	for i, k := range keys {
-		if v, f, ok := cl.kcache.get(k); ok {
-			vals[i], found[i] = v, f
-		} else {
-			missIdx = append(missIdx, i)
-			missKeys = append(missKeys, k)
-		}
+	if len(keys) != 1 {
+		cl.kcache.misses.Add(uint64(len(keys)))
+		return cl.lookupWire(ctx, keys, vals, found)
 	}
-	sc.idx, sc.keys = missIdx, missKeys
-	cl.kcache.hits.Add(uint64(len(keys) - len(missIdx)))
-	if len(missIdx) == 0 {
-		batchScratchPool.Put(sc)
+	if v, f, ok := cl.kcache.get(keys[0]); ok {
+		cl.kcache.hits.Add(1)
+		vals[0], found[0] = v, f
 		return nil
 	}
-	cl.kcache.misses.Add(uint64(len(missIdx)))
-	missVals, missFound := sc.vals[:len(missIdx)], sc.found[:len(missIdx)]
-	err := cl.kflights.do(ctx, missKeys, missVals, missFound, cl.lookupFill)
+	cl.kcache.misses.Add(1)
+	v, f, err := cl.kflights.do(ctx, keys[0], cl.lookupFill)
 	if err == nil {
-		for j, i := range missIdx {
-			vals[i], found[i] = missVals[j], missFound[j]
-		}
+		vals[0], found[0] = v, f
 	}
-	batchScratchPool.Put(sc)
 	return err
 }
 
-// lookupFill is the singleflight fetch function: resolve the miss keys
-// over the wire, then publish every result into the hot-key cache.
-func (cl *Client) lookupFill(ctx context.Context, keys []uint64, vals []uint16, found []bool) error {
-	if err := cl.lookupWire(ctx, keys, vals, found); err != nil {
-		return err
+// lookupFill is the singleflight fetch function: resolve one miss key
+// over the wire, then publish the result into the hot-key cache.
+func (cl *Client) lookupFill(ctx context.Context, key uint64) (uint16, bool, error) {
+	keys, vals, found := [1]uint64{key}, [1]uint16{}, [1]bool{}
+	if err := cl.lookupWire(ctx, keys[:], vals[:], found[:]); err != nil {
+		return 0, false, err
 	}
-	for i, k := range keys {
-		cl.kcache.put(k, vals[i], found[i])
-	}
-	return nil
+	cl.kcache.put(key, vals[0], found[0])
+	return vals[0], found[0], nil
 }
 
 // lookupWire resolves keys against the server, one round trip per

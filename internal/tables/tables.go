@@ -200,7 +200,8 @@ type Localized interface {
 // savings.
 type CacheStats struct {
 	// KeyHits/KeyMisses count canonical-key probes answered by the
-	// hot-key cache vs sent over the wire.
+	// hot-key cache vs sent over the wire. Multi-key scan batches
+	// bypass the cache, so their keys all count as misses.
 	KeyHits   uint64 `json:"key_hits"`
 	KeyMisses uint64 `json:"key_misses"`
 	// LevelHits/LevelMisses count level-key blocks served from the
@@ -219,12 +220,6 @@ type CacheStats struct {
 	// WireRetries counts request attempts re-sent after a retryable
 	// transport failure — the fleet-instability signal.
 	WireRetries uint64 `json:"wire_retries"`
-	// AdmissionRejects counts hot-key cache insertions refused by the
-	// TinyLFU admission filter: one-shot keys (beyond-horizon scan
-	// residues, mostly) judged less valuable than the entry they would
-	// have evicted. A high rate under scan pressure is the filter
-	// working, not a problem.
-	AdmissionRejects uint64 `json:"admission_rejects"`
 }
 
 // Add accumulates o into s (the router's shard-aggregation helper).
@@ -238,7 +233,6 @@ func (s *CacheStats) Add(o CacheStats) {
 	s.WireBytesRead += o.WireBytesRead
 	s.WireBytesWritten += o.WireBytesWritten
 	s.WireRetries += o.WireRetries
-	s.AdmissionRejects += o.AdmissionRejects
 }
 
 // KeyHitRatio is the hot-key tier's hit fraction (0 when unprobed).
